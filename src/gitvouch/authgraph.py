@@ -6,8 +6,9 @@ trust anchor — the channel introduction (commit id + signer
 fingerprint) — to a target commit: the target must descend from the
 introduction, the introduction's own signature must match the pinned
 fingerprint, and every commit in between must satisfy the invariant.
-Commits inside the transitive closure of previously-authenticated
-commits are skipped via a persistent, purely advisory cache.
+The walk from the target stops at commits a persistent, purely advisory
+cache records as already authenticated, so later runs read only new
+commits.
 """
 
 from __future__ import annotations
@@ -90,13 +91,23 @@ class AuthReport:
     target: ObjectId
     checked: int
     cache_skipped: int
+    walked: int
     signers: dict[ObjectId, Fingerprint] = field(default_factory=dict)
 
 
 class AuthCache:
-    """Per-user set of already-authenticated commit ids, keyed by
-    introduction. Purely advisory: unreadable content degrades to an
-    empty set, write failures are warnings."""
+    """Per-user record of commit ids already authenticated under an
+    introduction, one file per cache key.
+
+    Every id in a file descends from the introduction its header line
+    names, so a walk that reaches one has proved descent as well as
+    authenticity. The file is a header line, ``introduction <commit hex>
+    <signer hex>``, then one 40-hex id per line, appended in batches
+    with no overall order. Purely advisory: a file that is missing,
+    unparsable, or headed for another introduction reads as empty (one
+    full check, after which it is replaced), and write failures are
+    warnings.
+    """
 
     def __init__(self, state_dir: str | None = None) -> None:
         self.state_dir = state_dir if state_dir is not None else default_state_dir()
@@ -105,20 +116,26 @@ class AuthCache:
     def key_for(intro: ChannelIntroduction) -> str:
         return f"{intro.commit.hex}-{intro.signer.hex}"
 
+    @staticmethod
+    def _header(intro: ChannelIntroduction) -> bytes:
+        return f"introduction {intro.commit.hex} {intro.signer.hex}\n".encode("ascii")
+
     def _path(self, key: str) -> str:
         return os.path.join(self.state_dir, "authentication", key)
 
-    def read(self, key: str) -> set[ObjectId]:
+    def read(self, key: str, intro: ChannelIntroduction) -> set[ObjectId]:
         try:
             with open(self._path(key), "rb") as fh:
                 content = fh.read()
         except OSError:
             return set()
+        header = self._header(intro)
+        if not content.startswith(header):
+            logger.warning("ignoring authentication cache %s: not written for "
+                           "this introduction", key)
+            return set()
         ids: set[ObjectId] = set()
-        for line in content.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for line in content[len(header):].splitlines():
             try:
                 ids.add(ObjectId.from_hex(line.decode("ascii")))
             except (ValueError, UnicodeDecodeError):
@@ -126,16 +143,35 @@ class AuthCache:
                 return set()
         return ids
 
-    def write(self, key: str, ids: set[ObjectId]) -> None:
-        """Atomic replace; merges with whatever is on disk right now."""
+    def write(
+        self,
+        key: str,
+        intro: ChannelIntroduction,
+        ids: set[ObjectId],
+        known: set[ObjectId],
+    ) -> None:
+        """Record ``ids``, given ``known``, what :meth:`read` returned
+        for this key.
+
+        Nothing is written when every id is known. When ``known`` is not
+        empty the file was read intact, so only the new ids are appended,
+        provided the file still carries this introduction's header.
+        Otherwise the file is atomically replaced.
+        """
+        new = ids - known
+        if not new:
+            return
+        lines = "".join(oid.hex + "\n" for oid in new).encode("ascii")
+        header = self._header(intro)
+        path = self._path(key)
         try:
-            merged = ids | self.read(key)
-            path = self._path(key)
+            if known and self._append(path, header, lines):
+                return
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".cache-")
             try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.writelines(oid.hex + "\n" for oid in sorted(merged))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(header + lines)
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -146,13 +182,26 @@ class AuthCache:
         except OSError as exc:
             logger.warning("could not write authentication cache %s: %s", key, exc)
 
+    @staticmethod
+    def _append(path: str, header: bytes, lines: bytes) -> bool:
+        """Append ``lines`` if the file at ``path`` starts with ``header``.
 
-def cache_read(state_dir: str, key: str) -> set[ObjectId]:
-    return AuthCache(state_dir).read(key)
-
-
-def cache_write(state_dir: str, key: str, ids: set[ObjectId]) -> None:
-    AuthCache(state_dir).write(key, ids)
+        The header is read through the descriptor that is written, so a
+        file replaced in between by another run, perhaps for another
+        introduction sharing the key, is never extended. One ``O_APPEND``
+        write keeps concurrent appends whole.
+        """
+        try:
+            fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        except FileNotFoundError:
+            return False
+        try:
+            if os.pread(fd, len(header), 0) != header:
+                return False
+            os.write(fd, lines)
+        finally:
+            os.close(fd)
+        return True
 
 
 def load_keyring(store, keyring_ref: str = DEFAULT_KEYRING_REF) -> Keyring:
@@ -288,21 +337,41 @@ def authenticate_repository(
 ) -> AuthReport:
     """Authenticate every commit from the introduction to ``target``.
 
-    Steps: (1) ``target`` must descend from the introductory commit —
-    commits outside that cone are inauthentic by definition; (2) the
-    introductory commit's signature must match the pinned fingerprint;
-    (3) every commit not inside the closure of the introduction or of a
-    cached commit is checked, parents before children; (4) on success
-    the cache absorbs everything newly authenticated. The introduction's
-    ancestors are trusted and never examined.
+    Steps: (1) one walk from ``target`` collects the commits reachable
+    without passing through the introduction or a cached commit;
+    ``target`` descends from the introduction iff that walk reaches one
+    of them, since cached commits are recorded only once they are proved
+    to descend from it. Commits outside that cone are inauthentic by
+    definition. (2) The introductory commit's signature must match the
+    pinned fingerprint; this runs on every call. (3) Every walked commit
+    is checked, parents before children. (4) On success the cache
+    records the target and every checked commit proved to descend from
+    the introduction, so later runs walk only new commits. The
+    introduction's ancestors are trusted and never examined.
     """
     options = options if options is not None else AuthOptions()
+    cache_key = options.cache_key or AuthCache.key_for(intro)
+    cached: set[ObjectId] = set()
+    if options.cache is not None:
+        cached = options.cache.read(cache_key, intro)
+    stop = cached | {intro.commit}
 
-    if not graph.is_ancestor(store, intro.commit, target):
+    commits = graph.commit_difference(store, target, stop)
+    walked = len(commits)
+    reached = {p for c in commits for p in c.parents if p in stop} if commits else {target}
+    if not reached:
         raise NotDescendantOfIntroduction(
             f"target {target} is not a descendant of the introductory "
             f"commit {intro.commit}"
         ).annotate(target.hex)
+    if any(not c.parents for c in commits):
+        # The walk reached a root other than the introduction, through a
+        # branch forked before it or a merged unrelated history. The
+        # introduction's ancestors are trusted: drop them.
+        trusted = graph.commit_difference(store, intro.commit, set())
+        walked += len(trusted)
+        trusted_ids = {c.id for c in trusted}
+        commits = [c for c in commits if c.id not in trusted_ids]
 
     if keyring is None:
         keyring = load_keyring(store, options.keyring_ref)
@@ -319,30 +388,26 @@ def authenticate_repository(
             f"not the expected {intro.signer.display()}"
         ).annotate(intro.commit.hex)
 
-    cache_key = options.cache_key or AuthCache.key_for(intro)
-    cached: set[ObjectId] = set()
-    if options.cache is not None:
-        cached = options.cache.read(cache_key)
-
-    difference = graph.commit_difference_with_stats(
-        store, target, cached | {intro.commit}
-    )
     reader = _AuthzReader(store, options)
     signers: dict[ObjectId, Fingerprint] = {}
-    for commit in difference.commits:
+    recorded = {target}
+    for commit in commits:
         cid = commit.id
         try:
             parent_sets = [(p, reader.get(p)) for p in commit.parents]
             signers[cid] = authenticate_commit(store, commit, keyring, parent_sets)
         except VouchError as exc:
             raise exc.annotate(cid.hex)
+        if any(p in stop or p in recorded for p in commit.parents):
+            recorded.add(cid)
 
     if options.cache is not None:
-        options.cache.write(cache_key, set(signers) | {target})
+        options.cache.write(cache_key, intro, recorded, cached)
 
     return AuthReport(
         target=target,
         checked=len(signers),
-        cache_skipped=len(difference.excluded_hits & cached),
+        cache_skipped=len(reached & cached),
+        walked=walked,
         signers=signers,
     )

@@ -68,6 +68,7 @@ def _resolve_endpoint(repo: Repository, spec: str) -> ObjectId:
 
 def _print_stats(report: AuthReport, stream) -> None:
     print(f"stats: commits checked: {report.checked}", file=stream)
+    print(f"stats: commits walked: {report.walked}", file=stream)
     print(f"stats: cache hits: {report.cache_skipped}", file=stream)
 
 

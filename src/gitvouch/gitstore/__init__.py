@@ -2,7 +2,6 @@
 
 from gitvouch.gitstore.graph import (
     commit_difference,
-    commit_difference_with_stats,
     is_ancestor,
     read_commit,
     read_path_at_commit,
@@ -44,7 +43,6 @@ __all__ = [
     "SymrefLoop",
     "TreeEntry",
     "commit_difference",
-    "commit_difference_with_stats",
     "hash_object",
     "is_ancestor",
     "parse_commit",

@@ -1,21 +1,18 @@
 """Commit-graph queries: ancestry, reachability difference, tree reads.
 
 These operate on any object store exposing ``read_object``. The
-difference traversal is what keeps authentication incremental: commits
-inside the transitive closure of already-trusted commits are never
-visited.
+difference traversal is what keeps authentication incremental: it stops
+at already-trusted commits and never visits what lies behind them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from gitvouch.gitstore.objects import (
     Commit,
     NotACommit,
     ObjectId,
-    ObjectNotFound,
     parse_commit,
     parse_tree,
 )
@@ -44,54 +41,20 @@ def is_ancestor(store, a: ObjectId, b: ObjectId) -> bool:
     return False
 
 
-@dataclass
-class DifferenceResult:
-    commits: list[Commit]
-    excluded_hits: frozenset[ObjectId]
+def commit_difference(store, target: ObjectId, stop: set[ObjectId]) -> list[Commit]:
+    """Commits reachable from ``target`` without passing through an id in
+    ``stop``, topologically ordered parents-before-children.
 
-
-def commit_difference_with_stats(
-    store, target: ObjectId, excluded: set[ObjectId]
-) -> DifferenceResult:
-    """Commits reachable from ``target`` but not from any of ``excluded``,
-    topologically ordered parents-before-children.
-
-    ``excluded_hits`` records which excluded-closure commits the walk from
-    ``target`` actually ran into (the traversal frontier), which is what
-    cache-hit reporting wants. Excluded ids absent from the store are
-    ignored: an absent commit cannot be an ancestor of a present one.
+    The walk never reads a stop id, so ids in ``stop`` that are absent
+    from the store, or that do not name commits, cost nothing. When
+    ``stop`` is closed under parents the result is exactly the commits
+    reachable from ``target`` and from no stop id. The target itself is
+    always read, so an absent target raises ``ObjectNotFound``; a target
+    in ``stop`` gives an empty list.
     """
-    # The excluded set may come from an advisory cache: ids that are
-    # absent, or that do not name commits, are ignored rather than fatal.
-    # Under-computing this closure is sound (it can only enlarge the
-    # checked set, never shrink it).
-    closure: set[ObjectId] = set()
-    queue = deque()
-    for oid in excluded:
-        if oid in closure:
-            continue
-        try:
-            if store.read_object(oid).kind != "commit":
-                continue
-        except ObjectNotFound:
-            continue
-        closure.add(oid)
-        queue.append(oid)
-    while queue:
-        oid = queue.popleft()
-        try:
-            parents = read_commit(store, oid).parents
-        except ObjectNotFound:
-            continue
-        for parent in parents:
-            if parent not in closure:
-                closure.add(parent)
-                queue.append(parent)
-
-    hits: set[ObjectId] = set()
-    if target in closure:
+    if target in stop:
         store.read_object(target)
-        return DifferenceResult([], frozenset({target}))
+        return []
 
     commits: dict[ObjectId, Commit] = {}
     queue = deque([target])
@@ -101,9 +64,7 @@ def commit_difference_with_stats(
         commit = read_commit(store, oid)
         commits[oid] = commit
         for parent in commit.parents:
-            if parent in closure:
-                hits.add(parent)
-            elif parent not in seen:
+            if parent not in stop and parent not in seen:
                 seen.add(parent)
                 queue.append(parent)
 
@@ -124,11 +85,7 @@ def commit_difference_with_stats(
             indegree[child] -= 1
             if indegree[child] == 0:
                 ready.append(child)
-    return DifferenceResult(ordered, frozenset(hits))
-
-
-def commit_difference(store, target: ObjectId, excluded: set[ObjectId]) -> list[Commit]:
-    return commit_difference_with_stats(store, target, excluded).commits
+    return ordered
 
 
 def read_path_at_commit(store, commit_id: ObjectId, path: str) -> bytes | None:

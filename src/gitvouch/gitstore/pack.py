@@ -97,16 +97,19 @@ class PackFile:
         except OSError:
             pass
 
-    def get(self, oid: ObjectId, resolve_ref_delta) -> tuple[str, bytes] | None:
+    def get(self, oid: ObjectId, resolve_ref_delta, depth: int) -> tuple[str, bytes] | None:
         """Return (kind, payload) or None when the pack lacks ``oid``.
 
-        ``resolve_ref_delta`` maps a base ObjectId to (kind, payload); the
-        repository supplies it so reference-deltas can cross packs.
+        ``resolve_ref_delta`` maps a base ObjectId and the delta depth
+        reached so far to (kind, payload); the repository supplies it so
+        reference-deltas can cross packs. ``depth`` is that depth when
+        ``oid`` is itself a reference-delta base, so a chain that runs
+        through several lookups, or a cycle, still meets MAX_DELTA_DEPTH.
         """
         offset = self.index.find_offset(oid)
         if offset is None:
             return None
-        return self._object_at(offset, resolve_ref_delta, depth=0)
+        return self._object_at(offset, resolve_ref_delta, depth)
 
     def _object_at(self, offset: int, resolve_ref_delta, depth: int) -> tuple[str, bytes]:
         if depth > MAX_DELTA_DEPTH:

@@ -50,26 +50,24 @@ class Repository:
     # -- objects --------------------------------------------------------
 
     def read_object(self, oid: ObjectId) -> RawObject:
-        kind, payload = self._read_raw(oid, depth=0)
+        kind, payload = self._read_raw(oid)
         if hash_object(kind, payload) != oid:
             raise CorruptObject(f"digest mismatch for {oid}")
         return RawObject(kind, payload)
 
-    def _read_raw(self, oid: ObjectId, depth: int) -> tuple[str, bytes]:
+    def _read_raw(self, oid: ObjectId, depth: int = 0) -> tuple[str, bytes]:
+        # Also the packs' reference-delta resolver: a base may live
+        # anywhere, loose, in the same pack or in another one. ``depth``
+        # carries the delta depth across those lookups, so the packs'
+        # MAX_DELTA_DEPTH bound ends any ref-delta cycle.
         loose = self._read_loose(oid)
         if loose is not None:
             return loose
         for pack in self._packs:
-            found = pack.get(oid, self._resolve_ref_delta)
+            found = pack.get(oid, self._read_raw, depth)
             if found is not None:
                 return found
         raise ObjectNotFound(f"no object {oid}")
-
-    def _resolve_ref_delta(self, base_id: ObjectId, depth: int) -> tuple[str, bytes]:
-        # Reference-delta bases may live anywhere: loose, same pack, or
-        # another pack. Depth is bounded inside each pack already; a
-        # cross-pack cycle would exhaust loose/pack lookups instead.
-        return self._read_raw(base_id, depth)
 
     def _read_loose(self, oid: ObjectId) -> tuple[str, bytes] | None:
         hexid = oid.hex
@@ -102,7 +100,7 @@ class Repository:
 
     def __contains__(self, oid: ObjectId) -> bool:
         try:
-            self._read_raw(oid, depth=0)
+            self._read_raw(oid)
             return True
         except ObjectNotFound:
             return False

@@ -34,11 +34,17 @@ SExp = Atom | list
 
 _DELIMS = b"()\"; \t\r\n'"
 
+# Lists and quotes nest no deeper than this. The reader recurses once
+# per level, and the policy files it reads come from the repository, so
+# without a bound a file of nested parentheses would exhaust the stack.
+MAX_NESTING = 100
+
 
 class _Reader:
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, offset: int | None = None) -> SexpSyntaxError:
         return SexpSyntaxError(message, self.pos if offset is None else offset)
@@ -61,18 +67,29 @@ class _Reader:
             return None
         byte = self.data[self.pos : self.pos + 1]
         if byte == b"(":
-            return self._read_list()
+            return self._nested(self._read_list)
         if byte == b")":
             raise self.error("unexpected ')'")
         if byte == b'"':
             return self._read_string()
         if byte == b"'":
-            self.pos += 1
-            inner = self.read()
-            if inner is None:
-                raise self.error("dangling quote at end of input")
-            return [Atom("quote"), inner]
+            return self._nested(self._read_quote)
         return self._read_atom()
+
+    def _nested(self, read_form):
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING}")
+        self.depth += 1
+        form = read_form()
+        self.depth -= 1
+        return form
+
+    def _read_quote(self) -> list:
+        self.pos += 1
+        inner = self.read()
+        if inner is None:
+            raise self.error("dangling quote at end of input")
+        return [Atom("quote"), inner]
 
     def _read_list(self) -> list:
         start = self.pos

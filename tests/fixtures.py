@@ -59,6 +59,22 @@ def add_keyring_branch(
     return commit
 
 
+class CountingStore:
+    """A store that counts ``read_object`` calls and forwards everything
+    else, for tests that bound how much of the history a run reads."""
+
+    def __init__(self, store) -> None:
+        self._store = store
+        self.reads = 0
+
+    def read_object(self, oid: ObjectId):
+        self.reads += 1
+        return self._store.read_object(oid)
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+
 def fig4(mutation: str | None = None) -> SimpleNamespace:
     """The two-branch-plus-merge graph with an authorization handover:
     only alice is authorized at the root; alice and bob everywhere else;

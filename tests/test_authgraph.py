@@ -17,8 +17,6 @@ from gitvouch.authgraph import (
     Unauthorized,
     Unsigned,
     authenticate_repository,
-    cache_read,
-    cache_write,
     load_keyring,
     parent_authorizations,
 )
@@ -350,6 +348,8 @@ class TestCache:
             fh.write(b"\xff\xfenot hex lines\n\x00garbage")
         report = authenticate_repository(fig.store, fig.intro, fig.f, options)
         assert report.checked == 5  # same verdict as cold
+        # the damaged file was replaced, not appended to
+        assert authenticate_repository(fig.store, fig.intro, fig.f, options).checked == 0
 
     def test_cache_is_per_introduction(self, tmp_path):
         fig = fixtures.fig4()
@@ -360,21 +360,104 @@ class TestCache:
         assert report.checked == 4  # fork cache starts empty
 
     def test_cache_read_write_round_trip(self, tmp_path):
-        state = str(tmp_path / "state")
-        assert cache_read(state, "k") == set()
+        fig = fixtures.fig4()
+        cache = AuthCache(str(tmp_path / "state"))
+        assert cache.read("k", fig.intro) == set()
         ids = {ObjectId(bytes([i]) * 20) for i in range(3)}
-        cache_write(state, "k", ids)
-        assert cache_read(state, "k") == ids
-        cache_write(state, "k", {ObjectId(b"\x09" * 20)})
-        assert cache_read(state, "k") == ids | {ObjectId(b"\x09" * 20)}
+        cache.write("k", fig.intro, ids, set())
+        assert cache.read("k", fig.intro) == ids
+        cache.write("k", fig.intro, {ObjectId(b"\x09" * 20)}, ids)
+        assert cache.read("k", fig.intro) == ids | {ObjectId(b"\x09" * 20)}
 
     def test_cache_file_format(self, tmp_path):
+        fig = fixtures.fig4()
         state = str(tmp_path / "state")
-        ids = {ObjectId(bytes([i]) * 20) for i in (3, 1, 2)}
-        cache_write(state, "deadbeef", ids)
+        cache = AuthCache(state)
+        first = [ObjectId(bytes([i]) * 20) for i in (3, 1)]
+        second = ObjectId(b"\x02" * 20)
+        cache.write("deadbeef", fig.intro, set(first), set())
+        cache.write("deadbeef", fig.intro, {second, first[0]}, set(first))
+        cache.write("deadbeef", fig.intro, {second}, set(first) | {second})
         with open(os.path.join(state, "authentication", "deadbeef")) as fh:
-            lines = fh.read()
-        assert lines == "".join(sorted(oid.hex + "\n" for oid in ids))
+            lines = fh.read().splitlines()
+        assert lines[0] == f"introduction {fig.a.hex} {fig.alice.fingerprint.hex}"
+        # the first batch in any order, then only the new id appended
+        assert sorted(lines[1:3]) == sorted(oid.hex for oid in first)
+        assert lines[3:] == [second.hex]
+
+    def test_headerless_cache_counts_as_empty(self, tmp_path):
+        fig = fixtures.fig4()
+        options = self.make_options(tmp_path)
+        path = options.cache._path(AuthCache.key_for(fig.intro))
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as fh:  # the format written before the header
+            fh.writelines(oid.hex + "\n" for oid in sorted([fig.d, fig.e, fig.f]))
+        report = authenticate_repository(fig.store, fig.intro, fig.f, options)
+        assert report.checked == 5 and report.cache_skipped == 0
+        warm = authenticate_repository(fig.store, fig.intro, fig.f, options)
+        assert warm.checked == 0 and warm.walked == 0
+
+    def test_cache_of_another_introduction_counts_as_empty(self, tmp_path):
+        fig = fixtures.fig4()
+        options = AuthOptions(cache=AuthCache(str(tmp_path / "state")), cache_key="shared")
+        fork = ChannelIntroduction(fig.b, fig.alice.fingerprint)
+        authenticate_repository(fig.store, fork, fig.f, options)
+        report = authenticate_repository(fig.store, fig.intro, fig.f, options)
+        assert report.checked == 5 and report.cache_skipped == 0
+        # and the fork, whose file was replaced, re-checks in turn
+        report = authenticate_repository(fig.store, fork, fig.f, options)
+        assert report.checked == 4
+
+    def test_cached_merge_does_not_vouch_for_its_side_branch(self, tmp_path):
+        # M merges the cone (F) with a branch forked before the
+        # introduction (H). M passes, but H does not descend from the
+        # introduction, so a child of H alone must still be refused.
+        fig = fixtures.fig5()
+        both = fixtures.authz_bytes(fig.alice, fig.bob)
+        sign = fixtures.signer(fig.alice)
+        m = fig.store.commit_files({".guix-authorizations": both}, [fig.f, fig.h],
+                                   message="M\n", sign_with=sign)
+        child = fig.store.commit_files({".guix-authorizations": both}, [fig.h],
+                                       message="after H\n", sign_with=sign)
+        options = self.make_options(tmp_path)
+        assert authenticate_repository(fig.store, fig.intro, m, options).checked == 7
+        for opts in (None, options):
+            with pytest.raises(NotDescendantOfIntroduction):
+                authenticate_repository(fig.store, fig.intro, child, opts)
+        recorded = options.cache.read(AuthCache.key_for(fig.intro), fig.intro)
+        assert recorded == {fig.c, fig.d, fig.e, fig.f, m}
+
+    def test_introduction_checked_when_nothing_is_new(self, tmp_path):
+        fig = fixtures.fig4()
+        options = self.make_options(tmp_path)
+        authenticate_repository(fig.store, fig.intro, fig.f, options)
+        fixtures.add_keyring_branch(fig.store, [fig.bob])  # alice's key is gone
+        with pytest.raises(UnknownKey) as exc:
+            authenticate_repository(fig.store, fig.intro, fig.f, options)
+        assert exc.value.commit_id == fig.a.hex
+
+    def test_warm_reads_do_not_grow_with_history(self, tmp_path):
+        reads = {}
+        for n in (300, 600):
+            chain = fixtures.linear_chain(n)
+            store = fixtures.CountingStore(chain.store)
+            options = AuthOptions(cache=AuthCache(str(tmp_path / f"s{n}")))
+            authenticate_repository(store, chain.intro, chain.ids[-1], options)
+
+            store.reads = 0
+            idle = authenticate_repository(store, chain.intro, chain.ids[-1], options)
+            idle_reads = store.reads
+            assert (idle.checked, idle.walked) == (0, 0)
+
+            alice = fixtures.key("alice")
+            new = chain.store.commit_files(
+                {".guix-authorizations": fixtures.authz_bytes(alice)},
+                [chain.ids[-1]], message="new\n", sign_with=fixtures.signer(alice))
+            store.reads = 0
+            one = authenticate_repository(store, chain.intro, new, options)
+            assert (one.checked, one.walked) == (1, 1)
+            reads[n] = (idle_reads, store.reads)
+        assert reads[300] == reads[600]
 
     def test_unwritable_cache_is_nonfatal(self, tmp_path, caplog):
         fig = fixtures.fig4()
@@ -427,3 +510,28 @@ class TestOracleEquivalence:
             assert engine_ok == brute_ok == repo.expect_ok
             agreements += 1
         assert agreements == 60
+
+    def test_cache_primed_repositories_match_brute_force(self, tmp_path):
+        # The same 60 repositories as above; a second generator picks,
+        # in each, a commit to authenticate first with the cache,
+        # whatever its verdict, before the target with the same cache.
+        rng = random.Random(20260811)
+        pick = random.Random(20261018)
+        for i in range(60):
+            repo = fixtures.random_repository(rng, max_commits=24)
+            ring = load_keyring(repo.store, "refs/heads/keyring")
+            primer = pick.choice(sorted(
+                oid for oid, obj in repo.store.objects() if obj.kind == "commit"))
+            options = AuthOptions(cache=AuthCache(str(tmp_path / f"s{i}")))
+            verdicts = []
+            for opts, target in ((options, primer), (options, repo.target),
+                                 (None, repo.target)):
+                try:
+                    authenticate_repository(repo.store, repo.intro, target, opts)
+                    verdicts.append(True)
+                except VouchError:
+                    verdicts.append(False)
+            assert verdicts[0] == fixtures.brute_force_authentic(
+                repo.store, repo.intro, primer, ring)
+            assert verdicts[1] == verdicts[2] == fixtures.brute_force_authentic(
+                repo.store, repo.intro, repo.target, ring)

@@ -84,6 +84,7 @@ class TestAuthenticateCommand:
         err = capsys.readouterr().err
         assert code == 0
         assert "stats: commits checked: 5" in err
+        assert "stats: commits walked: 5" in err
         assert "stats: cache hits: 0" in err
 
     def test_warm_cache_second_run(self, fig4_disk, state_dir, capsys):
@@ -98,6 +99,7 @@ class TestAuthenticateCommand:
         assert cli.main(args) == 0
         err = capsys.readouterr().err
         assert "stats: commits checked: 0" in err
+        assert "stats: commits walked: 0" in err
         assert "stats: cache hits: 1" in err
 
     def test_wrong_fingerprint_digit_exit_one(self, fig4_disk, state_dir, capsys):
@@ -215,6 +217,22 @@ class TestUpdateCommand:
         assert cli.main(args) == 0
         record = channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan")
         assert record.commit == repo["c"]
+
+    def test_stats_show_only_new_commits_walked(self, tmp_path, state_dir, capsys):
+        repo = make_update_repo(tmp_path)
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+        args = ["update", "--repository", repo["path"], "--channels", channels,
+                "--state-dir", state_dir, "--stats"]
+        set_branch(repo["path"], "master", repo["b"])
+        assert cli.main(args) == 0
+        assert "stats: commits walked: 1" in capsys.readouterr().err
+        set_branch(repo["path"], "master", repo["c"])
+        assert cli.main(args) == 0
+        err = capsys.readouterr().err
+        assert "stats: commits walked: 1" in err
+        assert "stats: cache hits: 1" in err
 
     def test_downgrade_refused_exit_two(self, tmp_path, state_dir, capsys):
         repo = make_update_repo(tmp_path)

@@ -9,7 +9,6 @@ from gitvouch.gitstore import (
     ObjectId,
     ObjectNotFound,
     commit_difference,
-    commit_difference_with_stats,
     is_ancestor,
     read_path_at_commit,
 )
@@ -72,11 +71,47 @@ def test_commit_difference_matches_brute_force(parent_choices, data):
     for x in excluded:
         expected -= brute_closure(parent_choices, x)
 
-    result = commit_difference(store, ids[target], {ids[x] for x in excluded})
+    # On a stop set closed under parents, the walk equals "reachable
+    # from no excluded id".
+    stop = set().union(*(brute_closure(parent_choices, x) for x in excluded))
+    result = commit_difference(store, ids[target], {ids[i] for i in stop})
     got = {c.id for c in result}
     assert got == {ids[i] for i in expected}
 
     # topological: every in-result parent precedes its child
+    position = {c.id: i for i, c in enumerate(result)}
+    for c in result:
+        for parent in c.parents:
+            if parent in position:
+                assert position[parent] < position[c.id]
+
+
+def brute_walk(parent_choices, node, stop):
+    """Nodes reachable from ``node`` over paths that enter no stop node."""
+    if node in stop:
+        return set()
+    reached = set()
+    stack = [node]
+    while stack:
+        i = stack.pop()
+        if i in reached:
+            continue
+        reached.add(i)
+        if i:
+            stack.extend(p for p in set(c % i for c in parent_choices[i]) if p not in stop)
+    return reached
+
+
+@settings(max_examples=60, deadline=None)
+@given(parent_choices=dag_strategy, data=st.data())
+def test_commit_difference_stops_at_arbitrary_stop_ids(parent_choices, data):
+    store, ids = build_dag(parent_choices)
+    n = len(ids)
+    target = data.draw(st.integers(min_value=0, max_value=n - 1))
+    stop = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=6))
+
+    result = commit_difference(store, ids[target], {ids[i] for i in stop})
+    assert {c.id for c in result} == {ids[i] for i in brute_walk(parent_choices, target, stop)}
     position = {c.id: i for i, c in enumerate(result)}
     for c in result:
         for parent in c.parents:
@@ -111,10 +146,14 @@ class TestCommitDifference:
         with pytest.raises(ObjectNotFound):
             commit_difference(fig.store, ObjectId(b"\xbb" * 20), set())
 
-    def test_excluded_hits_reported(self):
+    def test_walk_reads_nothing_behind_stop_ids(self):
         fig = fixtures.fig4()
-        stats = commit_difference_with_stats(fig.store, fig.f, {fig.a})
-        assert stats.excluded_hits == {fig.a}
+        store = fixtures.CountingStore(fig.store)
+        result = commit_difference(store, fig.f, {fig.d, fig.e})
+        assert [c.id for c in result] == [fig.f]
+        assert store.reads == 1
+        frontier = {p for c in result for p in c.parents}
+        assert frontier == {fig.d, fig.e}
 
 
 class TestIsAncestor:

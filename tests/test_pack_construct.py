@@ -154,6 +154,24 @@ class TestDeltaChains:
         repo = Repository(path)
         assert repo.read_object(derived_id).payload == derived_payload
 
+    def test_ref_delta_cycle_rejected(self, tmp_path):
+        # Two reference-deltas, each naming the other as its base.
+        first_id = hash_object("blob", b"C" * 51)
+        second_id = hash_object("blob", b"D" * 51)
+        delta = grow_delta(50)
+        pack = bytearray(b"PACK" + struct.pack(">II", 2, 2))
+        offsets = []
+        for base_id in (second_id, first_id):
+            offsets.append(len(pack))
+            pack += encode_obj_header(OBJ_REF_DELTA, len(delta))
+            pack += base_id.raw
+            pack += zlib.compress(delta)
+        pack += hashlib.sha1(pack).digest()
+        idx = build_idx([(first_id, offsets[0]), (second_id, offsets[1])])
+        repo = Repository(make_repo_with_pack(tmp_path, bytes(pack), idx))
+        with pytest.raises(BadDelta):
+            repo.read_object(first_id)
+
     def test_concurrent_pack_reads(self, tmp_path):
         pack, offsets, base_id, tip_id, content = chain_pack(depth=8)
         idx = build_idx([(base_id, offsets[0]), (tip_id, offsets[-1])])

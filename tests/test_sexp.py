@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gitvouch.sexp import Atom, SexpSyntaxError, parse_all, parse_sexp, print_sexp
+from gitvouch.authz import parse_authorizations
+from gitvouch.sexp import (
+    MAX_NESTING,
+    Atom,
+    SexpSyntaxError,
+    parse_all,
+    parse_sexp,
+    print_sexp,
+)
 
 
 class TestParse:
@@ -33,6 +41,22 @@ class TestParse:
     def test_bom_rejected(self):
         with pytest.raises(SexpSyntaxError):
             parse_sexp(b"\xef\xbb\xbf(a)")
+
+    def test_nesting_at_bound_parses(self):
+        assert parse_sexp("(" * MAX_NESTING + ")" * MAX_NESTING) is not None
+        assert parse_sexp("'" * (MAX_NESTING - 1) + "(a)") is not None
+
+    @pytest.mark.parametrize("text", [
+        "(" * (MAX_NESTING + 1) + ")" * (MAX_NESTING + 1),
+        "'" * (MAX_NESTING + 1) + "a",
+    ])
+    def test_nesting_past_bound_rejected(self, text):
+        with pytest.raises(SexpSyntaxError, match="nesting deeper"):
+            parse_sexp(text)
+
+    def test_hostile_policy_nesting_is_a_syntax_error(self):
+        with pytest.raises(SexpSyntaxError):
+            parse_authorizations(b"(" * 100000)
 
     def test_bad_utf8_rejected(self):
         with pytest.raises(SexpSyntaxError):
