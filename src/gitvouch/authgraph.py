@@ -92,6 +92,7 @@ class AuthReport:
     checked: int
     cache_skipped: int
     walked: int
+    policies_parsed: int
     signers: dict[ObjectId, Fingerprint] = field(default_factory=dict)
 
 
@@ -297,34 +298,61 @@ def parent_authorizations(
     substitutes the static list; otherwise that is fatal. A malformed
     policy file anywhere in history is always fatal, never skipped.
     """
-    data = graph.read_path_at_commit(store, parent, authz.AUTHORIZATIONS_FILE)
-    if data is None:
-        if options.historical_authorizations is not None:
-            return authz.authorized_fingerprints(options.historical_authorizations)
-        raise MissingAuthorizations(
-            f"commit {parent} lacks {authz.AUTHORIZATIONS_FILE} "
-            "(use historical authorizations for pre-policy history)"
-        ).annotate(parent.hex)
-    try:
-        return authz.authorized_fingerprints(authz.parse_authorizations(data))
-    except (SexpSyntaxError, authz.BadVersion, authz.BadFingerprint) as exc:
-        raise exc.annotate(parent.hex)
+    return _AuthzReader(store, options).get(parent)
 
 
 class _AuthzReader:
-    """Per-run memo of parent -> authorized fingerprints."""
+    """Per-run memo of authorized fingerprints, by tree and by policy
+    blob id.
 
-    def __init__(self, store, options: AuthOptions) -> None:
+    ``commits`` holds commits the run has already parsed, keyed by id;
+    any other parent is read once. Memoizing by id is sound because
+    every read re-hashes the object against its id, so each distinct
+    tree is searched, and each distinct policy file read and parsed,
+    once per run. An entry that is absent, names a tree, or names an
+    object that is not a blob counts as missing.
+    """
+
+    def __init__(
+        self, store, options: AuthOptions, commits: dict[ObjectId, Commit] | None = None
+    ) -> None:
         self.store = store
         self.options = options
-        self._memo: dict[ObjectId, frozenset[Fingerprint]] = {}
+        self._commits = commits if commits is not None else {}
+        self._by_tree: dict[ObjectId, frozenset[Fingerprint]] = {}
+        self._by_blob: dict[ObjectId, frozenset[Fingerprint]] = {}
+
+    @property
+    def policies_parsed(self) -> int:
+        return len(self._by_blob)
 
     def get(self, parent: ObjectId) -> frozenset[Fingerprint]:
-        cached = self._memo.get(parent)
-        if cached is None:
-            cached = parent_authorizations(self.store, parent, self.options)
-            self._memo[parent] = cached
-        return cached
+        commit = self._commits.get(parent)
+        if commit is None:
+            commit = self._commits[parent] = graph.read_commit(self.store, parent)
+        authorized = self._by_tree.get(commit.tree)
+        if authorized is None:
+            authorized = self._by_tree[commit.tree] = self._read(parent, commit.tree)
+        return authorized
+
+    def _read(self, parent: ObjectId, tree: ObjectId) -> frozenset[Fingerprint]:
+        blob_id = graph.path_entry(self.store, tree, authz.AUTHORIZATIONS_FILE)
+        if blob_id in self._by_blob:
+            return self._by_blob[blob_id]
+        blob = self.store.read_object(blob_id) if blob_id is not None else None
+        if blob is None or blob.kind != "blob":
+            if self.options.historical_authorizations is not None:
+                return authz.authorized_fingerprints(self.options.historical_authorizations)
+            raise MissingAuthorizations(
+                f"commit {parent} lacks {authz.AUTHORIZATIONS_FILE} "
+                "(use historical authorizations for pre-policy history)"
+            ).annotate(parent.hex)
+        try:
+            authorized = authz.authorized_fingerprints(authz.parse_authorizations(blob.payload))
+        except (SexpSyntaxError, authz.BadVersion, authz.BadFingerprint) as exc:
+            raise exc.annotate(parent.hex)
+        self._by_blob[blob_id] = authorized
+        return authorized
 
 
 def authenticate_repository(
@@ -388,7 +416,9 @@ def authenticate_repository(
             f"not the expected {intro.signer.display()}"
         ).annotate(intro.commit.hex)
 
-    reader = _AuthzReader(store, options)
+    known = {c.id: c for c in commits}
+    known[intro.commit] = intro_commit
+    reader = _AuthzReader(store, options, known)
     signers: dict[ObjectId, Fingerprint] = {}
     recorded = {target}
     for commit in commits:
@@ -409,5 +439,6 @@ def authenticate_repository(
         checked=len(signers),
         cache_skipped=len(reached & cached),
         walked=walked,
+        policies_parsed=reader.policies_parsed,
         signers=signers,
     )

@@ -70,6 +70,7 @@ def _print_stats(report: AuthReport, stream) -> None:
     print(f"stats: commits checked: {report.checked}", file=stream)
     print(f"stats: commits walked: {report.walked}", file=stream)
     print(f"stats: cache hits: {report.cache_skipped}", file=stream)
+    print(f"stats: policy files parsed: {report.policies_parsed}", file=stream)
 
 
 def _fail_auth(exc: VouchError) -> int:

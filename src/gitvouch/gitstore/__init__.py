@@ -3,6 +3,7 @@
 from gitvouch.gitstore.graph import (
     commit_difference,
     is_ancestor,
+    path_entry,
     read_commit,
     read_path_at_commit,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "is_ancestor",
     "parse_commit",
     "parse_tree",
+    "path_entry",
     "read_commit",
     "read_path_at_commit",
     "serialize_commit",

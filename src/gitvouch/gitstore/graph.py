@@ -90,24 +90,31 @@ def commit_difference(store, target: ObjectId, stop: set[ObjectId]) -> list[Comm
 
 def read_path_at_commit(store, commit_id: ObjectId, path: str) -> bytes | None:
     """Blob bytes for ``path`` in the tree of ``commit_id``, or None when
-    any path component is missing or names a tree."""
+    any path component is missing, the path names a tree, or its entry
+    names an object that is not a blob."""
     obj = store.read_object(commit_id)
     if obj.kind != "commit":
         raise NotACommit(f"{commit_id} is a {obj.kind}")
-    current = parse_commit(obj).tree
+    entry = path_entry(store, parse_commit(obj).tree, path)
+    if entry is None:
+        return None
+    blob = store.read_object(entry)
+    return blob.payload if blob.kind == "blob" else None
+
+
+def path_entry(store, tree: ObjectId, path: str) -> ObjectId | None:
+    """Id that the entry for ``path`` under ``tree`` names, or None when
+    any path component is missing or the path names a tree.
+
+    The id is not read, so the caller decides what an id that is not a
+    blob means.
+    """
     parts = [p for p in path.split("/") if p]
     for i, part in enumerate(parts):
-        entries = {e.name: e for e in parse_tree(store.read_object(current).payload)}
+        entries = {e.name: e for e in parse_tree(store.read_object(tree).payload)}
         entry = entries.get(part)
-        if entry is None:
+        # Every component but the last must name a tree; the last must not.
+        if entry is None or entry.is_tree == (i == len(parts) - 1):
             return None
-        last = i == len(parts) - 1
-        if last:
-            if entry.is_tree:
-                return None
-            blob = store.read_object(entry.id)
-            return blob.payload if blob.kind == "blob" else None
-        if not entry.is_tree:
-            return None
-        current = entry.id
-    return None
+        tree = entry.id
+    return tree if parts else None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import zlib
 from bisect import bisect_left
 
@@ -26,25 +27,48 @@ KIND_BY_TYPE = {OBJ_COMMIT: "commit", OBJ_TREE: "tree", OBJ_BLOB: "blob", OBJ_TA
 IDX_V2_MAGIC = b"\xfftOc"
 MAX_DELTA_DEPTH = 64
 _READ_CHUNK = 65536
+# Longest pack object header this reader accepts: a type-and-size
+# varint (10 bytes for a 64-bit size), then a reference-delta's 20-byte
+# base id or an offset-delta's shorter distance varint.
+_HEADER_READ = 32
 
 
 class PackIndex:
-    """Parsed ``.idx`` (version 2): sorted sha table + offsets."""
+    """Parsed ``.idx`` (version 2): sorted sha table + offsets.
 
-    def __init__(self, path: str) -> None:
+    The index comes from the same untrusted source as the pack, so its
+    tables are checked against its length, and every offset it yields
+    against ``pack_size``, the length of the pack it indexes.
+    """
+
+    def __init__(self, path: str, pack_size: int) -> None:
         with open(path, "rb") as fh:
             data = fh.read()
-        if data[:4] != IDX_V2_MAGIC or struct.unpack(">I", data[4:8])[0] != 2:
+        base = 8 + 1024
+        if (
+            len(data) < base + 40
+            or data[:4] != IDX_V2_MAGIC
+            or struct.unpack(">I", data[4:8])[0] != 2
+        ):
             raise CorruptObject(f"{path}: not a version-2 pack index")
-        fanout = struct.unpack(">256I", data[8 : 8 + 1024])
+        fanout = struct.unpack(">256I", data[8:base])
+        if any(a > b for a, b in zip(fanout, fanout[1:])):
+            raise CorruptObject(f"{path}: pack index fanout is not monotonic")
         self.count = fanout[255]
         self._fanout = fanout
-        base = 8 + 1024
         self._shas = data[base : base + 20 * self.count]
         ofs_base = base + 20 * self.count + 4 * self.count  # skip CRC table
         self._offsets = data[ofs_base : ofs_base + 4 * self.count]
         large_base = ofs_base + 4 * self.count
         self._large = data[large_base : len(data) - 40]
+        if len(data) - 40 < large_base or len(self._large) % 8:
+            raise CorruptObject(f"{path}: pack index length does not match its tables")
+        large = [v & 0x7FFFFFFF for (v,) in struct.iter_unpack(">I", self._offsets)
+                 if v & 0x80000000]
+        if large and max(large) >= len(self._large) // 8:
+            raise CorruptObject(f"{path}: pack index large offset out of range")
+        self._path = path
+        self._pack_size = pack_size
 
     def find_offset(self, oid: ObjectId) -> int | None:
         first = oid.raw[0]
@@ -58,6 +82,10 @@ class PackIndex:
         (value,) = struct.unpack_from(">I", self._offsets, idx * 4)
         if value & 0x80000000:
             (value,) = struct.unpack_from(">Q", self._large, (value & 0x7FFFFFFF) * 8)
+        # Objects lie between the 12-byte pack header and its 20-byte
+        # trailing checksum.
+        if not 12 <= value < self._pack_size - 20:
+            raise CorruptObject(f"{self._path}: offset {value} of {oid} lies outside the pack")
         return value
 
     def __contains__(self, oid: ObjectId) -> bool:
@@ -80,8 +108,8 @@ class _ShaView:
 class PackFile:
     def __init__(self, pack_path: str, idx_path: str) -> None:
         self.path = pack_path
-        self.index = PackIndex(idx_path)
         self._fd = os.open(pack_path, os.O_RDONLY)
+        self.index = PackIndex(idx_path, os.fstat(self._fd).st_size)
         header = os.pread(self._fd, 12, 0)
         if header[:4] != b"PACK" or struct.unpack(">I", header[4:8])[0] != 2:
             raise CorruptObject(f"{pack_path}: not a version-2 pack")
@@ -114,61 +142,78 @@ class PackFile:
     def _object_at(self, offset: int, resolve_ref_delta, depth: int) -> tuple[str, bytes]:
         if depth > MAX_DELTA_DEPTH:
             raise BadDelta(f"{self.path}: delta chain deeper than {MAX_DELTA_DEPTH}")
-        pos = offset
-        byte = self._byte(pos)
-        pos += 1
-        obj_type = (byte >> 4) & 0x07
-        size = byte & 0x0F
-        shift = 4
-        while byte & 0x80:
-            byte = self._byte(pos)
+        # One read covers the type-and-size varint, an offset-delta's
+        # distance varint or a reference-delta's base id.
+        head = os.pread(self._fd, _HEADER_READ, offset)
+        pos = 0
+
+        def byte() -> int:
+            nonlocal pos
+            if pos >= len(head):
+                raise CorruptObject(f"{self.path}: truncated object header at {offset}")
             pos += 1
-            size |= (byte & 0x7F) << shift
+            return head[pos - 1]
+
+        b = byte()
+        obj_type = (b >> 4) & 0x07
+        size = b & 0x0F
+        shift = 4
+        while b & 0x80:
+            b = byte()
+            size |= (b & 0x7F) << shift
             shift += 7
 
         if obj_type == OBJ_OFS_DELTA:
-            byte = self._byte(pos)
-            pos += 1
-            rel = byte & 0x7F
-            while byte & 0x80:
-                byte = self._byte(pos)
-                pos += 1
-                rel = ((rel + 1) << 7) | (byte & 0x7F)
+            b = byte()
+            rel = b & 0x7F
+            while b & 0x80:
+                b = byte()
+                rel = ((rel + 1) << 7) | (b & 0x7F)
             base_offset = offset - rel
             if base_offset < 0 or rel == 0:
                 raise BadDelta(f"{self.path}: bad delta base offset at {offset}")
-            delta = self._inflate(pos, size)
+            delta = self._inflate(offset + pos, size)
             kind, base = self._object_at(base_offset, resolve_ref_delta, depth + 1)
             return kind, apply_delta(base, delta)
 
         if obj_type == OBJ_REF_DELTA:
-            base_id = ObjectId(os.pread(self._fd, 20, pos))
-            pos += 20
-            delta = self._inflate(pos, size)
+            if pos + 20 > len(head):
+                raise CorruptObject(f"{self.path}: truncated object header at {offset}")
+            base_id = ObjectId(head[pos : pos + 20])
+            delta = self._inflate(offset + pos + 20, size)
             kind, base = resolve_ref_delta(base_id, depth + 1)
             return kind, apply_delta(base, delta)
 
         kind = KIND_BY_TYPE.get(obj_type)
         if kind is None:
             raise CorruptObject(f"{self.path}: unknown pack object type {obj_type}")
-        return kind, self._inflate(pos, size)
-
-    def _byte(self, pos: int) -> int:
-        data = os.pread(self._fd, 1, pos)
-        if not data:
-            raise CorruptObject(f"{self.path}: truncated at offset {pos}")
-        return data[0]
+        return kind, self._inflate(offset + pos, size)
 
     def _inflate(self, pos: int, expected: int) -> bytes:
+        """Inflate the zlib stream at ``pos``, which must yield exactly
+        ``expected`` bytes.
+
+        Output is capped one byte past ``expected``, so a stream that
+        inflates to more than it declares fails without being inflated
+        whole. The first read is sized for an ``expected``-byte stream.
+        """
         decomp = zlib.decompressobj()
         out = bytearray()
+        want = min(expected + 64, _READ_CHUNK)
         try:
             while not decomp.eof:
-                chunk = os.pread(self._fd, _READ_CHUNK, pos)
-                if not chunk:
-                    raise CorruptObject(f"{self.path}: truncated zlib stream")
-                pos += len(chunk)
-                out += decomp.decompress(chunk)
+                data = decomp.unconsumed_tail
+                if not data:
+                    data = os.pread(self._fd, want, pos)
+                    if not data:
+                        raise CorruptObject(f"{self.path}: truncated zlib stream")
+                    pos += len(data)
+                    want = _READ_CHUNK
+                out += decomp.decompress(data, min(expected + 1 - len(out), sys.maxsize))
+                if len(out) > expected:
+                    raise CorruptObject(
+                        f"{self.path}: object inflates past its declared {expected} bytes"
+                    )
         except zlib.error as exc:
             raise CorruptObject(f"{self.path}: undecodable object: {exc}") from exc
         if len(out) != expected:

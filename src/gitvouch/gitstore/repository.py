@@ -9,6 +9,7 @@ refuses to return data whose digest does not match the requested id.
 from __future__ import annotations
 
 import os
+import sys
 import zlib
 
 from gitvouch.gitstore import refs as _refs
@@ -21,6 +22,10 @@ from gitvouch.gitstore.objects import (
     hash_object,
 )
 from gitvouch.gitstore.pack import PackFile
+
+# Longest loose-object header read, ``<kind> <decimal size>\0``; git
+# uses the same bound.
+_MAX_HEADER = 32
 
 
 class Repository:
@@ -57,16 +62,19 @@ class Repository:
 
     def _read_raw(self, oid: ObjectId, depth: int = 0) -> tuple[str, bytes]:
         # Also the packs' reference-delta resolver: a base may live
-        # anywhere, loose, in the same pack or in another one. ``depth``
+        # anywhere, in the same pack, in another one or loose. ``depth``
         # carries the delta depth across those lookups, so the packs'
-        # MAX_DELTA_DEPTH bound ends any ref-delta cycle.
-        loose = self._read_loose(oid)
-        if loose is not None:
-            return loose
+        # MAX_DELTA_DEPTH bound ends any ref-delta cycle. Packs come
+        # first: most objects of a cloned repository are packed, and
+        # either copy is hash-checked, so the order cannot change a
+        # result.
         for pack in self._packs:
             found = pack.get(oid, self._read_raw, depth)
             if found is not None:
                 return found
+        loose = self._read_loose(oid)
+        if loose is not None:
+            return loose
         raise ObjectNotFound(f"no object {oid}")
 
     def _read_loose(self, oid: ObjectId) -> tuple[str, bytes] | None:
@@ -77,25 +85,34 @@ class Repository:
                 compressed = fh.read()
         except FileNotFoundError:
             return None
+        decomp = zlib.decompressobj()
         try:
-            data = zlib.decompress(compressed)
+            # The header is inflated first, and the payload then no
+            # further than one byte past the length it declares.
+            data = decomp.decompress(compressed, _MAX_HEADER)
+            nul = data.find(b"\x00")
+            if nul < 0:
+                raise CorruptObject(f"{path}: missing header terminator")
+            header = data[:nul]
+            try:
+                kind_b, length_b = header.split(b" ", 1)
+                kind = kind_b.decode("ascii")
+                length = int(length_b)
+            except (ValueError, UnicodeDecodeError) as exc:
+                raise CorruptObject(f"{path}: malformed header {header!r}") from exc
+            if kind not in OBJECT_KINDS:
+                raise CorruptObject(f"{path}: unknown kind {kind!r}")
+            payload = data[nul + 1 :]
+            if len(payload) <= length:
+                payload += decomp.decompress(
+                    decomp.unconsumed_tail, min(length + 1 - len(payload), sys.maxsize)
+                )
         except zlib.error as exc:
             raise CorruptObject(f"{path}: undecodable loose object: {exc}") from exc
-        nul = data.find(b"\x00")
-        if nul < 0:
-            raise CorruptObject(f"{path}: missing header terminator")
-        header = data[:nul]
-        try:
-            kind_b, length_b = header.split(b" ", 1)
-            kind = kind_b.decode("ascii")
-            length = int(length_b)
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise CorruptObject(f"{path}: malformed header {header!r}") from exc
-        if kind not in OBJECT_KINDS:
-            raise CorruptObject(f"{path}: unknown kind {kind!r}")
-        payload = data[nul + 1 :]
         if len(payload) != length:
             raise CorruptObject(f"{path}: payload length mismatch")
+        if not decomp.eof:
+            raise CorruptObject(f"{path}: undecodable loose object: truncated stream")
         return kind, payload
 
     def __contains__(self, oid: ObjectId) -> bool:

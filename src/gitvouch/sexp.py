@@ -127,9 +127,7 @@ class _Reader:
     def _read_atom(self) -> Atom:
         start = self.pos
         data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1] not in [
-            bytes([b]) for b in _DELIMS
-        ]:
+        while self.pos < len(data) and data[self.pos] not in _DELIMS:
             self.pos += 1
         return Atom(self._decode(data[start : self.pos], start))
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -60,15 +61,18 @@ def add_keyring_branch(
 
 
 class CountingStore:
-    """A store that counts ``read_object`` calls and forwards everything
-    else, for tests that bound how much of the history a run reads."""
+    """A store that counts ``read_object`` calls, in total and by id, and
+    forwards everything else, for tests that bound how much of the
+    history a run reads."""
 
     def __init__(self, store) -> None:
         self._store = store
         self.reads = 0
+        self.reads_by_id: Counter[ObjectId] = Counter()
 
     def read_object(self, oid: ObjectId):
         self.reads += 1
+        self.reads_by_id[oid] += 1
         return self._store.read_object(oid)
 
     def __getattr__(self, name):

@@ -20,9 +20,10 @@ from gitvouch.authgraph import (
     load_keyring,
     parent_authorizations,
 )
+from gitvouch import authz
 from gitvouch.authz import BadVersion, parse_authorizations
 from gitvouch.errors import VouchError
-from gitvouch.gitstore import MemoryStore, ObjectId
+from gitvouch.gitstore import MemoryStore, ObjectId, TreeEntry
 from gitvouch.sigverify import BadSignature, UnknownKey, WeakDigest
 
 import fixtures
@@ -161,6 +162,97 @@ class TestParentAuthorizations:
         with pytest.raises(BadVersion) as exc:
             authenticate_repository(fig.store, fig.intro, child)
         assert exc.value.commit_id == bad.hex
+
+
+class TestPolicyReads:
+    """One read per commit and one parse per distinct policy blob, with
+    the per-parent semantics unchanged."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        calls = []
+        real = authz.parse_authorizations
+
+        def counting(data):
+            calls.append(bytes(data))
+            return real(data)
+
+        monkeypatch.setattr(authz, "parse_authorizations", counting)
+        return calls
+
+    def test_cold_run_reads_each_commit_once(self, parsed):
+        chain = fixtures.linear_chain(300)
+        store = fixtures.CountingStore(chain.store)
+        report = authenticate_repository(store, chain.intro, chain.ids[-1])
+        assert report.checked == 299
+        commit_reads = [n for oid, n in store.reads_by_id.items()
+                        if chain.store.read_object(oid).kind == "commit"]
+        assert len(commit_reads) == 301  # the chain and the keyring tip
+        assert set(commit_reads) == {1}
+        assert len(parsed) == report.policies_parsed == 1
+
+    def test_one_parse_per_distinct_blob_per_run(self, parsed):
+        fig = fixtures.fig4()
+        report = authenticate_repository(fig.store, fig.intro, fig.f)
+        assert len(parsed) == len(set(parsed)) == report.policies_parsed == 2
+        # The memo lives for one run only.
+        authenticate_repository(fig.store, fig.intro, fig.f)
+        assert len(parsed) == 4
+
+    @staticmethod
+    def _policy_entry_repo(entry: TreeEntry):
+        """intro -> b, whose ``.guix-authorizations`` entry is ``entry``,
+        -> c, so checking c reads b's policy."""
+        alice = fixtures.key("alice")
+        store = MemoryStore()
+        fixtures.add_keyring_branch(store, [alice])
+        sign = fixtures.signer(alice)
+        a = store.commit_files({".guix-authorizations": fixtures.authz_bytes(alice)},
+                               message="A\n", sign_with=sign)
+        b = store.add_commit(store.add_tree([entry(store, a)]), [a], message="B\n",
+                             sign_with=sign)
+        c = store.commit_files({".guix-authorizations": fixtures.authz_bytes(alice)},
+                               [b], message="C\n", sign_with=sign)
+        return store, ChannelIntroduction(a, alice.fingerprint), b, c, alice
+
+    @pytest.mark.parametrize("entry", [
+        lambda store, a: TreeEntry("40000", ".guix-authorizations",
+                                   store.add_tree_from_files({"x": b"()"})),
+        lambda store, a: TreeEntry("100644", ".guix-authorizations", a),
+        lambda store, a: TreeEntry("100644", "README", store.add_blob(b"no policy\n")),
+    ], ids=["tree", "commit", "absent"])
+    def test_non_blob_entry_counts_as_missing(self, entry):
+        store, intro, b, c, alice = self._policy_entry_repo(entry)
+        with pytest.raises(MissingAuthorizations) as exc:
+            authenticate_repository(store, intro, c)
+        assert exc.value.commit_id == b.hex
+        with pytest.raises(MissingAuthorizations):
+            parent_authorizations(store, b, AuthOptions())
+
+        options = AuthOptions(historical_authorizations=parse_authorizations(
+            fixtures.authz_bytes(alice)))
+        assert authenticate_repository(store, intro, c, options).checked == 2
+        assert parent_authorizations(store, b, options) == frozenset({alice.fingerprint})
+
+    def test_shared_malformed_blob_blames_first_failing_parent(self):
+        fig = fixtures.fig4()
+        bad = {".guix-authorizations": b"(authorizations (version 9) ())"}
+        sign = fixtures.signer(fig.alice)
+        x = fig.store.commit_files(bad, [fig.f], message="X\n", sign_with=sign)
+        y = fig.store.commit_files(bad, [fig.f], message="Y\n", sign_with=sign)
+        # The merge lists y first, so y is the first parent whose policy
+        # is read; the same blob under x is never reached.
+        merge = fig.store.commit_files(bad, [y, x], message="M\n", sign_with=sign)
+        with pytest.raises(BadVersion) as exc:
+            authenticate_repository(fig.store, fig.intro, merge)
+        assert exc.value.commit_id == y.hex
+
+        # Along a chain the parent checked first is the older one.
+        z = fig.store.commit_files(bad, [x], message="Z\n", sign_with=sign)
+        tip = fig.store.commit_files(bad, [z], message="T\n", sign_with=sign)
+        with pytest.raises(BadVersion) as exc:
+            authenticate_repository(fig.store, fig.intro, tip)
+        assert exc.value.commit_id == x.hex
 
 
 class TestHistoricalMode:

@@ -86,6 +86,8 @@ class TestAuthenticateCommand:
         assert "stats: commits checked: 5" in err
         assert "stats: commits walked: 5" in err
         assert "stats: cache hits: 0" in err
+        # One policy file at the root, one shared by every later commit.
+        assert "stats: policy files parsed: 2" in err
 
     def test_warm_cache_second_run(self, fig4_disk, state_dir, capsys):
         args = [
@@ -101,6 +103,7 @@ class TestAuthenticateCommand:
         assert "stats: commits checked: 0" in err
         assert "stats: commits walked: 0" in err
         assert "stats: cache hits: 1" in err
+        assert "stats: policy files parsed: 0" in err
 
     def test_wrong_fingerprint_digit_exit_one(self, fig4_disk, state_dir, capsys):
         fpr = fig4_disk.alice.fingerprint.hex
@@ -227,12 +230,15 @@ class TestUpdateCommand:
                 "--state-dir", state_dir, "--stats"]
         set_branch(repo["path"], "master", repo["b"])
         assert cli.main(args) == 0
-        assert "stats: commits walked: 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stats: commits walked: 1" in err
+        assert "stats: policy files parsed: 1" in err
         set_branch(repo["path"], "master", repo["c"])
         assert cli.main(args) == 0
         err = capsys.readouterr().err
         assert "stats: commits walked: 1" in err
         assert "stats: cache hits: 1" in err
+        assert "stats: policy files parsed: 1" in err
 
     def test_downgrade_refused_exit_two(self, tmp_path, state_dir, capsys):
         repo = make_update_repo(tmp_path)

@@ -5,12 +5,13 @@ applier's failure modes."""
 import hashlib
 import os
 import struct
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from gitvouch.gitstore import BadDelta, ObjectId, Repository, hash_object
+from gitvouch.gitstore import BadDelta, CorruptObject, ObjectId, Repository, hash_object
 from gitvouch.gitstore.pack import (
     MAX_DELTA_DEPTH,
     OBJ_BLOB,
@@ -179,6 +180,76 @@ class TestDeltaChains:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: repo.read_object(tip_id).payload, range(64)))
         assert all(r == content for r in results)
+
+
+class TestHostileInput:
+    def test_zlib_bomb_rejected_without_inflating(self, tmp_path):
+        # The header declares 5 bytes; the stream inflates to 50 MB.
+        inflated = 50 << 20
+        comp = zlib.compressobj()
+        stream = b"".join(comp.compress(bytes(1 << 20)) for _ in range(inflated >> 20))
+        stream += comp.flush()
+        pack = bytearray(b"PACK" + struct.pack(">II", 2, 1))
+        offset = len(pack)
+        pack += encode_obj_header(OBJ_BLOB, 5) + stream
+        pack += hashlib.sha1(pack).digest()
+        oid = hash_object("blob", b"bomb!")
+        repo = Repository(make_repo_with_pack(tmp_path, bytes(pack), build_idx([(oid, offset)])))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptObject, match="inflates past"):
+                repo.read_object(oid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 < inflated // 10
+
+    @staticmethod
+    def small_pack():
+        pack, offsets, base_id, tip_id, _ = chain_pack(depth=2)
+        return pack, [(base_id, offsets[0]), (tip_id, offsets[-1])]
+
+    def test_truncated_index_rejected_at_open(self, tmp_path):
+        pack, entries = self.small_pack()
+        idx = build_idx(entries)
+        offsets_start = 8 + 1024 + 24 * len(entries)
+        for cut in (offsets_start + 2, len(idx) - 41, 100):
+            path = make_repo_with_pack(tmp_path / str(cut), pack, idx[:cut])
+            with pytest.raises(CorruptObject):
+                Repository(path)
+
+    def test_non_monotonic_fanout_rejected(self, tmp_path):
+        pack, entries = self.small_pack()
+        idx = bytearray(build_idx(entries))
+        struct.pack_into(">I", idx, 8 + 4 * 255, 0)  # total below earlier buckets
+        with pytest.raises(CorruptObject, match="fanout"):
+            Repository(make_repo_with_pack(tmp_path, pack, bytes(idx)))
+
+    def test_large_offset_index_out_of_range(self, tmp_path):
+        pack, entries = self.small_pack()
+        # One 64-bit offset entry, but the offset table points at entry 5.
+        idx = bytearray(build_idx([(oid, 0x80000000 | 5) for oid, _ in entries[:1]]))
+        idx[-40:-40] = struct.pack(">Q", entries[0][1])
+        with pytest.raises(CorruptObject, match="large offset"):
+            Repository(make_repo_with_pack(tmp_path, pack, bytes(idx)))
+
+    def test_large_offset_in_range_resolves(self, tmp_path):
+        pack, entries = self.small_pack()
+        oid, offset = entries[0]
+        idx = bytearray(build_idx([(oid, 0x80000000)]))
+        idx[-40:-40] = struct.pack(">Q", offset)
+        repo = Repository(make_repo_with_pack(tmp_path, pack, bytes(idx)))
+        assert repo.read_object(oid).payload == b"A" * 50
+
+    @pytest.mark.parametrize("offset", [0, 11, "end"])
+    def test_offset_outside_pack_rejected(self, tmp_path, offset):
+        pack, entries = self.small_pack()
+        oid = entries[0][0]
+        if offset == "end":
+            offset = len(pack) - 20
+        repo = Repository(make_repo_with_pack(tmp_path, pack, build_idx([(oid, offset)])))
+        with pytest.raises(CorruptObject, match="outside the pack"):
+            repo.read_object(oid)
 
 
 class TestApplyDelta:

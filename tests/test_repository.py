@@ -3,6 +3,7 @@
 import os
 import shutil
 import subprocess
+import tracemalloc
 import zlib
 
 import pytest
@@ -101,6 +102,29 @@ class TestLooseObjects:
             fh.write(b"\x78\x9cnot zlib at all")
         with pytest.raises(CorruptObject):
             Repository(git_repo).read_object(ObjectId.from_hex(sha))
+
+
+    def test_zlib_bomb_rejected_without_inflating(self, git_repo):
+        # 51 KB on disk, 50 MB inflated, but the header declares 5 bytes.
+        inflated = 50 << 20
+        comp = zlib.compressobj()
+        data = comp.compress(b"blob 5\x00")
+        for _ in range(inflated >> 20):
+            data += comp.compress(bytes(1 << 20))
+        data += comp.flush()
+        sha = "ab" * 20
+        os.makedirs(os.path.join(git_repo, ".git", "objects", sha[:2]), exist_ok=True)
+        with open(os.path.join(git_repo, ".git", "objects", sha[:2], sha[2:]), "wb") as fh:
+            fh.write(data)
+        repo = Repository(git_repo)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptObject, match="length mismatch"):
+                repo.read_object(ObjectId.from_hex(sha))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(data) + (1 << 20) < inflated // 10
 
 
 class TestPackedObjects:
