@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from gitvouch import authz
 from gitvouch.errors import VouchError
 from gitvouch.gitstore import graph
-from gitvouch.gitstore.objects import Commit, ObjectId
+from gitvouch.gitstore.objects import Commit, ObjectId, parse_tree, signed_payload
 from gitvouch.sexp import SexpSyntaxError
 from gitvouch.sigverify.armor import BadArmor, dearmor
 from gitvouch.sigverify.fingerprint import Fingerprint
@@ -80,10 +80,6 @@ class AuthOptions:
     historical_authorizations: authz.AuthorizationList | None = None
     cache: "AuthCache | None" = None
     cache_key: str | None = None
-
-    @property
-    def historical_mode(self) -> bool:
-        return self.historical_authorizations is not None
 
 
 @dataclass
@@ -219,8 +215,6 @@ def load_keyring(store, keyring_ref: str = DEFAULT_KEYRING_REF) -> Keyring:
 
     def walk(tree_id: ObjectId, prefix: str) -> None:
         nonlocal skipped
-        from gitvouch.gitstore.objects import parse_tree
-
         for entry in parse_tree(store.read_object(tree_id).payload):
             path = f"{prefix}{entry.name}"
             if entry.is_tree:
@@ -255,9 +249,7 @@ def _signature_packet(commit: Commit) -> SignaturePacket:
     raise BadArmor("signature header carries no signature packet")
 
 
-def _verify_commit(store, commit: Commit, keyring: Keyring) -> VerifiedSignature:
-    from gitvouch.gitstore.objects import signed_payload
-
+def _verify_commit(commit: Commit, keyring: Keyring) -> VerifiedSignature:
     sig = _signature_packet(commit)
     return verify_detailed(sig, signed_payload(commit), keyring)
 
@@ -275,7 +267,7 @@ def authenticate_commit(
     A fingerprint matches if it names the signer's primary key, or — as
     a documented extension — the exact signing subkey.
     """
-    verified = _verify_commit(store, commit, keyring)
+    verified = _verify_commit(commit, keyring)
     for parent_id, authorized in parent_authorizations:
         if (
             verified.primary_fingerprint not in authorized
@@ -406,7 +398,7 @@ def authenticate_repository(
 
     intro_commit = graph.read_commit(store, intro.commit)
     try:
-        verified = _verify_commit(store, intro_commit, keyring)
+        verified = _verify_commit(intro_commit, keyring)
     except VouchError as exc:
         raise exc.annotate(intro.commit.hex)
     if intro.signer not in (verified.primary_fingerprint, verified.key_fingerprint):

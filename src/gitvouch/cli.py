@@ -17,7 +17,6 @@ from gitvouch import authz, channel
 from gitvouch.authgraph import (
     AuthCache,
     AuthOptions,
-    AuthReport,
     ChannelIntroduction,
     authenticate_repository,
 )
@@ -66,18 +65,24 @@ def _resolve_endpoint(repo: Repository, spec: str) -> ObjectId:
     raise UsageError(f"cannot resolve '{spec}' to a commit")
 
 
-def _print_stats(report: AuthReport, stream) -> None:
-    print(f"stats: commits checked: {report.checked}", file=stream)
-    print(f"stats: commits walked: {report.walked}", file=stream)
-    print(f"stats: cache hits: {report.cache_skipped}", file=stream)
-    print(f"stats: policy files parsed: {report.policies_parsed}", file=stream)
-
-
-def _fail_auth(exc: VouchError) -> int:
-    kind = type(exc).__name__
-    where = f" at commit {exc.commit_id}" if exc.commit_id else ""
-    print(f"gitvouch: error: {kind}{where}: {exc}", file=sys.stderr)
-    return EXIT_AUTH_FAILURE
+def _authenticate(args: argparse.Namespace, repo, intro, target, **options) -> bool:
+    """Authenticate ``target`` with the state directory's cache. On
+    failure print the error line; on success print ``--stats`` lines.
+    True iff ``target`` is authentic."""
+    options = AuthOptions(cache=AuthCache(args.state_dir), **options)
+    try:
+        report = authenticate_repository(repo, intro, target, options)
+    except VouchError as exc:
+        kind = type(exc).__name__
+        where = f" at commit {exc.commit_id}" if exc.commit_id else ""
+        print(f"gitvouch: error: {kind}{where}: {exc}", file=sys.stderr)
+        return False
+    if args.stats:
+        print(f"stats: commits checked: {report.checked}", file=sys.stderr)
+        print(f"stats: commits walked: {report.walked}", file=sys.stderr)
+        print(f"stats: cache hits: {report.cache_skipped}", file=sys.stderr)
+        print(f"stats: policy files parsed: {report.policies_parsed}", file=sys.stderr)
+    return True
 
 
 def cmd_authenticate(args: argparse.Namespace) -> int:
@@ -99,18 +104,13 @@ def cmd_authenticate(args: argparse.Namespace) -> int:
 
     repo = Repository(args.repository)
     target = _resolve_endpoint(repo, args.end)
-    options = AuthOptions(
+    if not _authenticate(
+        args, repo, intro, target,
         keyring_ref=_normalize_ref(args.keyring),
         historical_authorizations=historical,
-        cache=AuthCache(args.state_dir),
         cache_key=args.cache_key,
-    )
-    try:
-        report = authenticate_repository(repo, intro, target, options)
-    except VouchError as exc:
-        return _fail_auth(exc)
-    if args.stats:
-        _print_stats(report, sys.stderr)
+    ):
+        return EXIT_AUTH_FAILURE
     print(f"gitvouch: successfully authenticated commit {target.hex}", file=sys.stderr)
     return EXIT_OK
 
@@ -146,13 +146,8 @@ def cmd_update(args: argparse.Namespace) -> int:
     if args.keyring:
         keyring_ref = _normalize_ref(args.keyring)
 
-    options = AuthOptions(keyring_ref=keyring_ref, cache=AuthCache(args.state_dir))
-    try:
-        report = authenticate_repository(repo, spec.introduction, tip, options)
-    except VouchError as exc:
-        return _fail_auth(exc)
-    if args.stats:
-        _print_stats(report, sys.stderr)
+    if not _authenticate(args, repo, spec.introduction, tip, keyring_ref=keyring_ref):
+        return EXIT_AUTH_FAILURE
 
     # Metadata was re-read from a now-authenticated commit, so the
     # primary URL it names can be trusted.

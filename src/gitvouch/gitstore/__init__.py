@@ -23,7 +23,6 @@ from gitvouch.gitstore.objects import (
     hash_object,
     parse_commit,
     parse_tree,
-    serialize_commit,
     serialize_tree,
     signed_payload,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "path_entry",
     "read_commit",
     "read_path_at_commit",
-    "serialize_commit",
     "serialize_tree",
     "signed_payload",
 ]

@@ -11,7 +11,6 @@ from collections import deque
 
 from gitvouch.gitstore.objects import (
     Commit,
-    NotACommit,
     ObjectId,
     parse_commit,
     parse_tree,
@@ -92,10 +91,7 @@ def read_path_at_commit(store, commit_id: ObjectId, path: str) -> bytes | None:
     """Blob bytes for ``path`` in the tree of ``commit_id``, or None when
     any path component is missing, the path names a tree, or its entry
     names an object that is not a blob."""
-    obj = store.read_object(commit_id)
-    if obj.kind != "commit":
-        raise NotACommit(f"{commit_id} is a {obj.kind}")
-    entry = path_entry(store, parse_commit(obj).tree, path)
+    entry = path_entry(store, read_commit(store, commit_id).tree, path)
     if entry is None:
         return None
     blob = store.read_object(entry)

@@ -1,8 +1,8 @@
 """Git object model: ids, raw objects, commit and tree parsing.
 
-Everything here is pure byte manipulation; no I/O. Parsing is lossless:
-a parsed commit retains its raw payload and can be re-serialized
-byte-for-byte, which is what signature verification depends on.
+Everything here is pure byte manipulation; no I/O. A parsed commit keeps
+its raw payload and the byte range of its ``gpgsig`` header, so the
+bytes its signature covers are the payload with that range cut out.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ def hash_object(kind: str, payload: bytes) -> ObjectId:
     return ObjectId(h.digest())
 
 
-def object_id(obj: RawObject) -> ObjectId:
-    return hash_object(obj.kind, obj.payload)
-
-
 @dataclass(frozen=True)
 class TreeEntry:
     mode: str
@@ -124,9 +120,13 @@ def parse_tree(payload: bytes) -> list[TreeEntry]:
         if name in seen:
             raise CorruptObject(f"duplicate tree entry {name!r}")
         seen.add(name)
+        try:
+            mode = payload[pos:space].decode("ascii")
+        except UnicodeDecodeError:
+            raise CorruptObject(f"non-ASCII mode in tree entry at offset {pos}") from None
         entries.append(
             TreeEntry(
-                mode=payload[pos:space].decode("ascii"),
+                mode=mode,
                 name=name.decode("utf-8", "surrogateescape"),
                 id=ObjectId(payload[nul + 1 : nul + 21]),
             )
@@ -154,59 +154,20 @@ def serialize_tree(entries: list[TreeEntry]) -> bytes:
 
 @dataclass(frozen=True)
 class Commit:
-    """A parsed commit.
+    """A parsed commit: what the authentication rule reads, and the raw
+    payload.
 
-    ``headers`` keeps every header in payload order with continuation
-    lines already unfolded, so ``serialize_commit`` can rebuild the exact
-    payload. ``signature`` is the reassembled armored block from the
-    ``gpgsig`` header, if any.
+    ``signature`` is the reassembled armored block from the ``gpgsig``
+    header, if any, and ``gpgsig_span`` is that header's ``(start, end)``
+    byte range in ``raw_payload``, continuation lines included.
     """
 
+    id: ObjectId
     tree: ObjectId
     parents: tuple[ObjectId, ...]
-    author_line: str
-    committer_line: str
     signature: str | None
-    message: str
     raw_payload: bytes = field(repr=False)
-    headers: tuple[tuple[bytes, bytes], ...] = field(repr=False)
-    message_bytes: bytes = field(repr=False)
-
-    @property
-    def id(self) -> ObjectId:
-        return hash_object("commit", self.raw_payload)
-
-
-def _parse_headers(payload: bytes) -> tuple[list[tuple[bytes, bytes]], bytes]:
-    headers: list[tuple[bytes, bytes]] = []
-    pos = 0
-    n = len(payload)
-    while True:
-        if pos >= n:
-            raise MalformedCommit("no blank line separating headers from message")
-        if payload[pos : pos + 1] == b"\n":
-            pos += 1
-            break
-        eol = payload.find(b"\n", pos)
-        if eol < 0:
-            raise MalformedCommit("header line without newline")
-        line = payload[pos:eol]
-        pos = eol + 1
-        if line.startswith(b" "):
-            raise MalformedCommit("continuation line without a preceding header")
-        space = line.find(b" ")
-        if space < 0:
-            raise MalformedCommit(f"malformed header line {line!r}")
-        name, value = line[:space], line[space + 1 :]
-        # Continuation lines carry one leading space per line.
-        while pos < n and payload[pos : pos + 1] == b" ":
-            eol = payload.find(b"\n", pos)
-            if eol < 0:
-                raise MalformedCommit("continuation line without newline")
-            value += b"\n" + payload[pos + 1 : eol]
-            pos = eol + 1
-        headers.append((name, value))
-    return headers, payload[pos:]
+    gpgsig_span: tuple[int, int] | None = field(repr=False)
 
 
 def parse_commit(obj: RawObject) -> Commit:
@@ -218,10 +179,42 @@ def parse_commit(obj: RawObject) -> Commit:
     """
     if obj.kind != "commit":
         raise NotACommit(f"expected a commit, got {obj.kind}")
-    headers, message_bytes = _parse_headers(obj.payload)
+    payload = obj.payload
+    n = len(payload)
+    names: list[bytes] = []
+    values: list[bytes] = []
+    sig_spans: list[tuple[int, int]] = []
+    pos = 0
+    while True:
+        if pos >= n:
+            raise MalformedCommit("no blank line separating headers from message")
+        if payload[pos] == 0x0A:
+            break
+        start = pos
+        eol = payload.find(b"\n", pos)
+        if eol < 0:
+            raise MalformedCommit("header line without newline")
+        space = payload.find(b" ", pos, eol)
+        if space == pos:
+            raise MalformedCommit("continuation line without a preceding header")
+        if space < 0:
+            raise MalformedCommit(f"malformed header line {payload[pos:eol]!r}")
+        pos = eol + 1
+        # Continuation lines carry one leading space per line.
+        while pos < n and payload[pos] == 0x20:
+            eol = payload.find(b"\n", pos)
+            if eol < 0:
+                raise MalformedCommit("continuation line without newline")
+            pos = eol + 1
+        name = payload[start:space]
+        names.append(name)
+        # Unfolded value: a line holds no newline, so every "\n " starts
+        # a continuation line.
+        values.append(payload[space + 1 : pos - 1].replace(b"\n ", b"\n"))
+        if name == b"gpgsig":
+            sig_spans.append((start, pos))
 
-    names = [name for name, _ in headers]
-    if not headers or names[0] != b"tree":
+    if not names or names[0] != b"tree":
         raise MalformedCommit("first header must be 'tree'")
     if names.count(b"tree") != 1:
         raise MalformedCommit("multiple 'tree' headers")
@@ -241,51 +234,31 @@ def parse_commit(obj: RawObject) -> Commit:
         except ValueError:
             raise MalformedCommit(f"bad {what} id {value!r}") from None
 
-    tree = oid_of(headers[0][1], "tree")
-    parents = tuple(oid_of(v, "parent") for n, v in headers if n == b"parent")
-    author_line = dict(headers)[b"author"].decode("utf-8", "replace")
-    committer_line = headers[idx + 1][1].decode("utf-8", "replace")
+    tree = oid_of(values[0], "tree")
+    parents = tuple(oid_of(v, "parent") for v in values[1:idx])
 
-    sig_values = [v for n, v in headers if n == b"gpgsig"]
-    if len(sig_values) > 1:
+    if len(sig_spans) > 1:
         raise MalformedCommit("multiple 'gpgsig' headers")
-    signature = sig_values[0].decode("utf-8", "replace") if sig_values else None
+    span = sig_spans[0] if sig_spans else None
+    signature = None
+    if span is not None:
+        signature = values[names.index(b"gpgsig")].decode("utf-8", "replace")
 
     return Commit(
+        id=hash_object("commit", payload),
         tree=tree,
         parents=parents,
-        author_line=author_line,
-        committer_line=committer_line,
         signature=signature,
-        message=message_bytes.decode("utf-8", "replace"),
-        raw_payload=obj.payload,
-        headers=tuple(headers),
-        message_bytes=message_bytes,
+        raw_payload=payload,
+        gpgsig_span=span,
     )
-
-
-def _serialize_headers(headers: tuple[tuple[bytes, bytes], ...], message: bytes) -> bytes:
-    out = bytearray()
-    for name, value in headers:
-        out += name
-        out += b" "
-        out += value.replace(b"\n", b"\n ")
-        out += b"\n"
-    out += b"\n"
-    out += message
-    return bytes(out)
-
-
-def serialize_commit(commit: Commit) -> bytes:
-    """Rebuild the commit payload from parsed headers (round-trip exact)."""
-    return _serialize_headers(commit.headers, commit.message_bytes)
 
 
 def signed_payload(commit: Commit) -> bytes:
     """The bytes a commit signature covers: the payload minus its ``gpgsig``
     header (continuation lines included). Unsigned commits are returned
     unchanged."""
-    if commit.signature is None:
+    if commit.gpgsig_span is None:
         return commit.raw_payload
-    stripped = tuple((n, v) for n, v in commit.headers if n != b"gpgsig")
-    return _serialize_headers(stripped, commit.message_bytes)
+    start, end = commit.gpgsig_span
+    return commit.raw_payload[:start] + commit.raw_payload[end:]

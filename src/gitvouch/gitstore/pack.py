@@ -238,7 +238,11 @@ def _delta_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def apply_delta(base: bytes, delta: bytes) -> bytes:
-    """Apply a git binary delta to ``base``."""
+    """Apply a git binary delta to ``base``.
+
+    Each copy and insert is checked against the declared result size
+    before it is appended, so the output never grows past that size.
+    """
     src_size, pos = _delta_varint(delta, 0)
     dst_size, pos = _delta_varint(delta, pos)
     if src_size != len(base):
@@ -248,6 +252,8 @@ def apply_delta(base: bytes, delta: bytes) -> bytes:
         inst = delta[pos]
         pos += 1
         if inst & 0x80:  # copy from base
+            if pos + (inst & 0x7F).bit_count() > len(delta):
+                raise BadDelta("truncated delta copy instruction")
             offset = 0
             size = 0
             for bit in range(4):
@@ -262,12 +268,15 @@ def apply_delta(base: bytes, delta: bytes) -> bytes:
                 size = 0x10000
             if offset + size > len(base):
                 raise BadDelta("delta copy out of range")
-            out += base[offset : offset + size]
+            source, start = base, offset
         elif inst:  # literal insert
-            out += delta[pos : pos + inst]
+            source, start, size = delta, pos, inst
             pos += inst
         else:
             raise BadDelta("reserved delta instruction 0")
+        if len(out) + size > dst_size:
+            raise BadDelta(f"delta result exceeds its declared {dst_size} bytes")
+        out += source[start : start + size]
     if len(out) != dst_size:
         raise BadDelta(f"delta result size mismatch ({len(out)} != {dst_size})")
     return bytes(out)

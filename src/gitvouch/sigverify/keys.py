@@ -121,9 +121,6 @@ class Keyring:
     def candidates_for_key_id(self, key_id: bytes) -> list[PublicKey]:
         return [self._by_fingerprint[f] for f in self._by_key_id.get(key_id, [])]
 
-    def primary_of(self, key: PublicKey) -> Fingerprint:
-        return key.primary_fingerprint
-
     def __contains__(self, fingerprint: Fingerprint) -> bool:
         return fingerprint in self._by_fingerprint
 

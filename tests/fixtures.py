@@ -20,7 +20,7 @@ from gitvouch.authz import (
     AuthorizationList,
     print_authorizations,
 )
-from gitvouch.gitstore import MemoryStore, ObjectId
+from gitvouch.gitstore import MemoryStore, ObjectId, TreeEntry, serialize_tree
 from gitvouch.sigverify import Fingerprint, SigningKey, export_public, sign_for_tests
 from gitvouch.sigverify.armor import armor
 from gitvouch.sigverify.packets import ALGO_RSA, HASH_SHA256, HASH_SHA512
@@ -179,6 +179,30 @@ def linear_chain(n: int, *, policy_keys=None, signing_key=None) -> SimpleNamespa
     return SimpleNamespace(
         store=store, ids=ids,
         intro=ChannelIntroduction(ids[0], signing_key.fingerprint),
+    )
+
+
+def bad_tree_mode_chain() -> SimpleNamespace:
+    """intro <- bad <- target, all signed by alice, where ``bad``'s tree
+    carries an entry whose mode bytes are not ASCII. Checking ``target``
+    reads that tree for its parent's authorizations."""
+    alice = key("alice")
+    store = MemoryStore()
+    add_keyring_branch(store, [alice])
+    policy = store.add_blob(authz_bytes(alice))
+    good = TreeEntry("100644", ".guix-authorizations", policy)
+    tree = store.add_tree([good])
+    bad_tree = store.add_object(
+        "tree", serialize_tree([good]) + b"1\xff0644 evil\x00" + policy.raw
+    )
+    sign = signer(alice)
+    intro = store.add_commit(tree, message="intro\n", sign_with=sign)
+    bad = store.add_commit(bad_tree, [intro], message="bad\n", sign_with=sign)
+    target = store.add_commit(tree, [bad], message="target\n", sign_with=sign)
+    store.set_ref("refs/heads/master", target)
+    return SimpleNamespace(
+        store=store, alice=alice, bad=bad, target=target,
+        intro=ChannelIntroduction(intro, alice.fingerprint),
     )
 
 

@@ -23,7 +23,7 @@ from gitvouch.authgraph import (
 from gitvouch import authz
 from gitvouch.authz import BadVersion, parse_authorizations
 from gitvouch.errors import VouchError
-from gitvouch.gitstore import MemoryStore, ObjectId, TreeEntry
+from gitvouch.gitstore import CorruptObject, MemoryStore, ObjectId, TreeEntry
 from gitvouch.sigverify import BadSignature, UnknownKey, WeakDigest
 
 import fixtures
@@ -162,6 +162,12 @@ class TestParentAuthorizations:
         with pytest.raises(BadVersion) as exc:
             authenticate_repository(fig.store, fig.intro, child)
         assert exc.value.commit_id == bad.hex
+
+    def test_non_ascii_tree_mode_fails_closed(self):
+        chain = fixtures.bad_tree_mode_chain()
+        with pytest.raises(CorruptObject, match="non-ASCII mode") as exc:
+            authenticate_repository(chain.store, chain.intro, chain.target)
+        assert exc.value.commit_id == chain.target.hex
 
 
 class TestPolicyReads:

@@ -128,6 +128,18 @@ class TestAuthenticateCommand:
         assert "Unsigned" in err
         assert fig.c.hex in err
 
+    def test_non_ascii_tree_mode_exit_one_without_traceback(self, tmp_path, state_dir, capsys):
+        chain = fixtures.bad_tree_mode_chain()
+        path = fixtures.export_to_disk(chain.store, str(tmp_path / "bad.git"))
+        code = cli.main([
+            "authenticate", chain.intro.commit.hex, chain.alice.fingerprint.display(),
+            "--repository", path, "--end", chain.target.hex, "--state-dir", state_dir,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"gitvouch: error: CorruptObject at commit {chain.target.hex}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "commit,fpr",
         [

@@ -11,11 +11,10 @@ from gitvouch.gitstore import (
     hash_object,
     parse_commit,
     parse_tree,
-    serialize_commit,
     serialize_tree,
     signed_payload,
 )
-from gitvouch.gitstore.objects import MalformedCommit, NotACommit, TreeEntry
+from gitvouch.gitstore.objects import CorruptObject, MalformedCommit, NotACommit, TreeEntry
 
 import fixtures
 
@@ -58,14 +57,24 @@ class TestHashObject:
         assert hash_object(obj.kind, obj.payload) == oid
 
 
-def make_commit_payload(parents=0, signature=None, message=b"msg\n"):
+def make_commit_payload(parents=0, signature=None, message=b"msg\n", extra=()):
     lines = [b"tree " + b"11" * 20]
     lines += [b"parent " + bytes([0x30 + i]) * 40 for i in range(parents)]
     lines.append(b"author A <a@x> 0 +0000")
     lines.append(b"committer A <a@x> 0 +0000")
+    lines += extra
     if signature is not None:
         lines.append(b"gpgsig " + signature.replace(b"\n", b"\n "))
     return b"\n".join(lines) + b"\n\n" + message
+
+
+def fold(name, lines):
+    """A header line: value lines after the first become continuation
+    lines, each with one leading space."""
+    return name + b" " + b"\n ".join(lines)
+
+
+header_line = st.binary(max_size=12).map(lambda b: b.replace(b"\n", b""))
 
 
 FAKE_SIG = b"-----BEGIN PGP SIGNATURE-----\n\nabc\ndef\n=gh12\n-----END PGP SIGNATURE-----"
@@ -77,8 +86,6 @@ class TestParseCommit:
         commit = parse_commit(RawObject("commit", payload))
         assert commit.parents == ()
         assert commit.signature is None
-        assert commit.message == "msg\n"
-        assert serialize_commit(commit) == payload
 
     def test_merge_commit_has_two_parents_in_order(self):
         payload = make_commit_payload(parents=2)
@@ -91,7 +98,6 @@ class TestParseCommit:
         payload = make_commit_payload(signature=FAKE_SIG)
         commit = parse_commit(RawObject("commit", payload))
         assert commit.signature == FAKE_SIG.decode()
-        assert serialize_commit(commit) == payload
 
     @pytest.mark.parametrize(
         "payload",
@@ -146,6 +152,33 @@ class TestSignedPayload:
         assert commit.signature is not None
         assert signed_payload(commit) == store.presign_payloads[cid]
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([b"mergetag", b"encoding", b"x-extra"]),
+                st.lists(header_line, min_size=1, max_size=4),
+            ),
+            max_size=4,
+        ),
+        st.lists(header_line, min_size=1, max_size=6),
+        st.integers(min_value=0),
+        st.one_of(st.just(b"gpgsig fake\n continued\n\n"), st.binary(max_size=64)),
+    )
+    def test_gpgsig_at_any_position_after_committer(self, extras, sig_lines, at, message):
+        """Lines may be empty or start with a space, and the message may
+        look like headers: only the ``gpgsig`` header is cut out."""
+        headers = [fold(name, lines) for name, lines in extras]
+        at %= len(headers) + 1
+        sig = fold(b"gpgsig", sig_lines)
+        unsigned = make_commit_payload(parents=1, extra=headers, message=message)
+        signed = make_commit_payload(
+            parents=1, extra=headers[:at] + [sig] + headers[at:], message=message
+        )
+        commit = parse_commit(RawObject("commit", signed))
+        assert signed_payload(commit) == unsigned
+        assert commit.signature == b"\n".join(sig_lines).decode("utf-8", "replace")
+        assert commit.id == hash_object("commit", signed)
+
 
 class TestTree:
     def test_round_trip(self):
@@ -174,7 +207,10 @@ class TestTree:
             TreeEntry("100644", "a", ObjectId.from_hex(HELLO_BLOB)),
             TreeEntry("100644", "a", ObjectId.from_hex(X_BLOB)),
         ]
-        from gitvouch.gitstore import CorruptObject
-
         with pytest.raises(CorruptObject):
             parse_tree(serialize_tree(entries))
+
+    def test_non_ascii_mode_rejected(self):
+        payload = serialize_tree([TreeEntry("100644", "a", ObjectId.from_hex(HELLO_BLOB))])
+        with pytest.raises(CorruptObject, match="non-ASCII mode"):
+            parse_tree(b"1\xff0644" + payload[len(b"100644"):])

@@ -287,3 +287,29 @@ class TestApplyDelta:
     def test_truncated_header(self):
         with pytest.raises(BadDelta):
             apply_delta(self.BASE, b"\xff")
+
+    @pytest.mark.parametrize(
+        "base,delta",
+        [
+            (b"abcd", bytes([4, 4, 0x91])),
+            (BASE, bytes([len(BASE), 5, 0x91, 10])),
+            (BASE, bytes([len(BASE), 5, 0xFF, 0, 0, 0, 0, 5, 0])),
+        ],
+        ids=["size-byte-missing", "size-byte-missing-long-base", "one-of-seven-missing"],
+    )
+    def test_truncated_copy_instruction(self, base, delta):
+        with pytest.raises(BadDelta, match="truncated delta copy"):
+            apply_delta(base, delta)
+
+    def test_delta_bomb_rejected_before_growing(self):
+        # 84 bytes that copy a 1 MiB base 40 times, declaring a 5-byte result.
+        base = bytes(1 << 20)
+        delta = bytes([0x80, 0x80, 0x40, 5]) + bytes([0xC0, 0x10]) * 40
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadDelta, match="exceeds its declared 5 bytes"):
+                apply_delta(base, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
