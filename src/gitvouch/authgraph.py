@@ -84,11 +84,17 @@ class AuthOptions:
 
 @dataclass
 class AuthReport:
+    """What a successful run did. ``ancestors`` holds the target and
+    every id the walk proved, by parent edges in hashed commits, to be
+    an ancestor of it: the walked commits and the stop ids they name as
+    parents. The cache can only shrink this set, never add to it."""
+
     target: ObjectId
     checked: int
     cache_skipped: int
     walked: int
     policies_parsed: int
+    ancestors: frozenset[ObjectId]
     signers: dict[ObjectId, Fingerprint] = field(default_factory=dict)
 
 
@@ -379,6 +385,7 @@ def authenticate_repository(
     commits = graph.commit_difference(store, target, stop)
     walked = len(commits)
     reached = {p for c in commits for p in c.parents if p in stop} if commits else {target}
+    ancestors = frozenset(c.id for c in commits) | reached
     if not reached:
         raise NotDescendantOfIntroduction(
             f"target {target} is not a descendant of the introductory "
@@ -432,5 +439,6 @@ def authenticate_repository(
         cache_skipped=len(reached & cached),
         walked=walked,
         policies_parsed=reader.policies_parsed,
+        ancestors=ancestors,
         signers=signers,
     )

@@ -13,6 +13,7 @@ import enum
 import os
 import tempfile
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from gitvouch.authgraph import ChannelIntroduction
@@ -188,15 +189,53 @@ def read_channel_metadata(store, commit: ObjectId) -> ChannelMetadata:
     return parse_channel_metadata(data)
 
 
-def fast_forward_check(store, current: ObjectId, target: ObjectId) -> FastForwardVerdict:
-    """Relate two commits: equal, forward, backward, or divergent."""
+def fast_forward_check(
+    store,
+    current: ObjectId,
+    target: ObjectId,
+    ancestors: Collection[ObjectId] = frozenset(),
+) -> FastForwardVerdict:
+    """Relate two commits: equal, forward, backward, or divergent.
+
+    ``ancestors`` holds ids already proved to be ``target`` or its
+    ancestors, such as :attr:`AuthReport.ancestors` from authenticating
+    ``target``. The checks run in this order:
+
+    1. ``SAME`` when the ids are equal;
+    2. ``FAST_FORWARD`` when ``current`` is in ``ancestors``, with no walk;
+    3. two breadth-first walks in lockstep, one commit read from each
+       per round: from ``current`` looking for ``target`` (``DOWNGRADE``)
+       and from ``target`` looking for ``current`` (``FAST_FORWARD``,
+       needed only when ``current`` is hidden from the proof, for
+       instance behind an id another run cached). The first to meet its
+       goal answers, so either relation costs about twice the commits
+       between the two tips, whatever lies behind the older one;
+    4. ``UNRELATED`` once both walks are spent.
+
+    The order cannot change a verdict: over an acyclic history each id
+    is an ancestor of the other only when the two are equal, so at most
+    one of the checks can succeed. ``ancestors`` is trusted as given, so
+    it must hold only ids proved from parent edges in hashed commits, as
+    the walks are. A hostile cache can only shrink
+    :attr:`AuthReport.ancestors`, which costs more walking here and
+    never accepts a downgrade.
+    """
     if current == target:
         store.read_object(current)
         return FastForwardVerdict.SAME
-    if graph.is_ancestor(store, current, target):
+    if current in ancestors:
         return FastForwardVerdict.FAST_FORWARD
-    if graph.is_ancestor(store, target, current):
-        return FastForwardVerdict.DOWNGRADE
+    walks = [
+        (FastForwardVerdict.DOWNGRADE, graph.ancestor_steps(store, target, current)),
+        (FastForwardVerdict.FAST_FORWARD, graph.ancestor_steps(store, current, target)),
+    ]
+    while walks:
+        for verdict, walk in list(walks):
+            found = next(walk, None)
+            if found:
+                return verdict
+            if found is None:
+                walks.remove((verdict, walk))
     return FastForwardVerdict.UNRELATED
 
 

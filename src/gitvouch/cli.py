@@ -17,6 +17,7 @@ from gitvouch import authz, channel
 from gitvouch.authgraph import (
     AuthCache,
     AuthOptions,
+    AuthReport,
     ChannelIntroduction,
     authenticate_repository,
 )
@@ -65,10 +66,12 @@ def _resolve_endpoint(repo: Repository, spec: str) -> ObjectId:
     raise UsageError(f"cannot resolve '{spec}' to a commit")
 
 
-def _authenticate(args: argparse.Namespace, repo, intro, target, **options) -> bool:
+def _authenticate(
+    args: argparse.Namespace, repo, intro, target, **options
+) -> AuthReport | None:
     """Authenticate ``target`` with the state directory's cache. On
-    failure print the error line; on success print ``--stats`` lines.
-    True iff ``target`` is authentic."""
+    failure print the error line and return None; on success print
+    ``--stats`` lines and return the report."""
     options = AuthOptions(cache=AuthCache(args.state_dir), **options)
     try:
         report = authenticate_repository(repo, intro, target, options)
@@ -76,13 +79,13 @@ def _authenticate(args: argparse.Namespace, repo, intro, target, **options) -> b
         kind = type(exc).__name__
         where = f" at commit {exc.commit_id}" if exc.commit_id else ""
         print(f"gitvouch: error: {kind}{where}: {exc}", file=sys.stderr)
-        return False
+        return None
     if args.stats:
         print(f"stats: commits checked: {report.checked}", file=sys.stderr)
         print(f"stats: commits walked: {report.walked}", file=sys.stderr)
         print(f"stats: cache hits: {report.cache_skipped}", file=sys.stderr)
         print(f"stats: policy files parsed: {report.policies_parsed}", file=sys.stderr)
-    return True
+    return report
 
 
 def cmd_authenticate(args: argparse.Namespace) -> int:
@@ -146,7 +149,8 @@ def cmd_update(args: argparse.Namespace) -> int:
     if args.keyring:
         keyring_ref = _normalize_ref(args.keyring)
 
-    if not _authenticate(args, repo, spec.introduction, tip, keyring_ref=keyring_ref):
+    report = _authenticate(args, repo, spec.introduction, tip, keyring_ref=keyring_ref)
+    if report is None:
         return EXIT_AUTH_FAILURE
 
     # Metadata was re-read from a now-authenticated commit, so the
@@ -160,7 +164,9 @@ def cmd_update(args: argparse.Namespace) -> int:
     baseline = channel.provenance_read(provenance_path, spec.name)
     if baseline is not None:
         try:
-            verdict = channel.fast_forward_check(repo, baseline.commit, tip)
+            verdict = channel.fast_forward_check(
+                repo, baseline.commit, tip, report.ancestors
+            )
         except ObjectNotFound:
             # Baseline commit missing from this clone: treat like
             # divergent history rather than silently proceeding.

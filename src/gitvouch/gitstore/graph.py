@@ -8,6 +8,7 @@ at already-trusted commits and never visits what lies behind them.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 
 from gitvouch.gitstore.objects import (
     Commit,
@@ -27,17 +28,26 @@ def is_ancestor(store, a: ObjectId, b: ObjectId) -> bool:
     store.read_object(a)
     if a == b:
         return True
+    return any(ancestor_steps(store, a, b))
+
+
+def ancestor_steps(store, a: ObjectId, b: ObjectId) -> Iterator[bool]:
+    """Breadth-first walk from ``b`` looking for a strict ancestor ``a``,
+    one commit read per step: yields True and stops when a commit read
+    names ``a`` as a parent, yields False otherwise, and ends when the
+    history below ``b`` is spent. Lets a caller interleave two walks."""
     seen = {b}
     queue = deque([b])
     while queue:
-        current = queue.popleft()
-        for parent in read_commit(store, current).parents:
-            if parent == a:
-                return True
+        parents = read_commit(store, queue.popleft()).parents
+        if a in parents:
+            yield True
+            return
+        for parent in parents:
             if parent not in seen:
                 seen.add(parent)
                 queue.append(parent)
-    return False
+        yield False
 
 
 def commit_difference(store, target: ObjectId, stop: set[ObjectId]) -> list[Commit]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gitvouch.authgraph import AuthCache, AuthOptions, authenticate_repository
 from gitvouch.authz import BadVersion
 from gitvouch.channel import (
     ChannelMetadata,
@@ -117,6 +118,9 @@ class TestFastForward:
         a = data.draw(st.integers(min_value=0, max_value=n - 1))
         b = data.draw(st.integers(min_value=0, max_value=n - 1))
         verdict = fast_forward_check(store, ids[a], ids[b])
+        # Any subset of b's true ancestors-or-self is a valid proof.
+        proved = data.draw(st.sets(st.sampled_from(sorted(brute_closure(parent_choices, b)))))
+        proved_verdict = fast_forward_check(store, ids[a], ids[b], {ids[i] for i in proved})
 
         a_anc_b = a in brute_closure(parent_choices, b)
         b_anc_a = b in brute_closure(parent_choices, a)
@@ -129,6 +133,7 @@ class TestFastForward:
         else:
             expected = FastForwardVerdict.UNRELATED
         assert verdict is expected
+        assert proved_verdict is expected
 
         # antisymmetry on strict pairs
         reverse = fast_forward_check(store, ids[b], ids[a])
@@ -136,6 +141,57 @@ class TestFastForward:
             assert reverse is FastForwardVerdict.DOWNGRADE
         if verdict is FastForwardVerdict.DOWNGRADE:
             assert reverse is FastForwardVerdict.FAST_FORWARD
+
+    def test_downgrade_reads_do_not_grow_with_history(self, tmp_path):
+        reads = {}
+        for n in (300, 600):
+            chain = fixtures.linear_chain(n)
+            store = fixtures.CountingStore(chain.store)
+            options = AuthOptions(cache=AuthCache(str(tmp_path / f"s{n}")))
+            authenticate_repository(store, chain.intro, chain.ids[-1], options)
+
+            store.reads = 0
+            older = chain.ids[-51]
+            report = authenticate_repository(store, chain.intro, older, options)
+            verdict = fast_forward_check(store, chain.ids[-1], older, report.ancestors)
+            assert verdict is FastForwardVerdict.DOWNGRADE
+            reads[n] = store.reads
+        assert reads[300] == reads[600]
+
+    def test_hidden_fast_forward_reads_do_not_grow_with_history(self, tmp_path):
+        reads = {}
+        for n in (300, 600):
+            chain = fixtures.linear_chain(n)
+            store = fixtures.CountingStore(chain.store)
+            options = AuthOptions(cache=AuthCache(str(tmp_path / f"s{n}")))
+            baseline = chain.ids[-51]
+            authenticate_repository(store, chain.intro, baseline, options)
+            # Another run caches a newer commit, so the walk from the
+            # target stops there and never reaches the baseline.
+            authenticate_repository(store, chain.intro, chain.ids[-2], options)
+
+            store.reads = 0
+            report = authenticate_repository(store, chain.intro, chain.ids[-1], options)
+            assert baseline not in report.ancestors
+            verdict = fast_forward_check(store, baseline, chain.ids[-1], report.ancestors)
+            assert verdict is FastForwardVerdict.FAST_FORWARD
+            reads[n] = store.reads
+        assert reads[300] == reads[600]
+
+    def test_fast_forward_from_report_reads_nothing(self, tmp_path):
+        chain = fixtures.linear_chain(60)
+        store = fixtures.CountingStore(chain.store)
+        options = AuthOptions(cache=AuthCache(str(tmp_path)))
+        authenticate_repository(store, chain.intro, chain.ids[30], options)
+        report = authenticate_repository(store, chain.intro, chain.ids[-1], options)
+        assert report.walked == 29
+
+        store.reads = 0
+        # A cached id the walk stopped at, and a commit it walked.
+        for baseline in (chain.ids[30], chain.ids[45]):
+            verdict = fast_forward_check(store, baseline, chain.ids[-1], report.ancestors)
+            assert verdict is FastForwardVerdict.FAST_FORWARD
+        assert store.reads == 0
 
 
 class TestStaleness:

@@ -5,7 +5,8 @@ import os
 import pytest
 
 from gitvouch import channel, cli
-from gitvouch.gitstore import MemoryStore, ObjectId
+from gitvouch.authgraph import AuthCache
+from gitvouch.gitstore import MemoryStore, ObjectId, graph
 
 import fixtures
 
@@ -283,6 +284,58 @@ class TestUpdateCommand:
         err = capsys.readouterr().err
         assert "unrelated" in err
         assert "downgrade:" not in err
+
+    def test_hostile_cache_cannot_accept_downgrade(self, tmp_path, state_dir, capsys):
+        repo = make_update_repo(tmp_path)
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+        args = ["update", "--repository", repo["path"], "--channels", channels,
+                "--state-dir", state_dir]
+        assert cli.main(args) == 0  # baseline at c
+        capsys.readouterr()
+        # A cache with a valid header that claims every commit, the
+        # baseline included, so no walk in authentication reaches c.
+        intro = repo["intro"]
+        cache = os.path.join(state_dir, "authentication", AuthCache.key_for(intro))
+        with open(cache, "w") as fh:
+            fh.write(f"introduction {intro.commit.hex} {intro.signer.hex}\n")
+            fh.writelines(repo[k].hex + "\n" for k in "abcd")
+        set_branch(repo["path"], "master", repo["b"])
+        assert cli.main(args) == 2
+        assert "refusing downgrade" in capsys.readouterr().err
+        set_branch(repo["path"], "master", repo["d"])
+        assert cli.main(args) == 2
+        assert "unrelated" in capsys.readouterr().err
+        record = channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan")
+        assert record.commit == repo["c"]
+
+    def test_fast_forward_hidden_behind_cached_id(self, tmp_path, state_dir, capsys):
+        repo = make_update_repo(tmp_path)
+        store, c = repo["store"], repo["c"]
+        e = store.add_commit(graph.read_commit(store, c).tree, [c], message="E\n",
+                             sign_with=fixtures.signer(repo["alice"]))
+        path = fixtures.export_to_disk(store, str(tmp_path / "with-e.git"))
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+        args = ["update", "--repository", path, "--channels", channels,
+                "--state-dir", state_dir, "--stats"]
+        set_branch(path, "master", repo["b"])
+        assert cli.main(args) == 0  # baseline at b
+        # Sharing the state directory caches c, so the walk from e stops
+        # there and never reaches the baseline.
+        assert cli.main([
+            "authenticate", repo["a"].hex, repo["alice"].fingerprint.display(),
+            "--repository", path, "--end", c.hex, "--keyring", "keys",
+            "--state-dir", state_dir,
+        ]) == 0
+        capsys.readouterr()
+        set_branch(path, "master", e)
+        assert cli.main(args) == 0
+        assert "stats: commits walked: 1" in capsys.readouterr().err
+        record = channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan")
+        assert record.commit == e
 
     def test_allow_downgrades_overrides(self, tmp_path, state_dir, capsys):
         repo = make_update_repo(tmp_path)
