@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 
 from gitvouch import authz
@@ -105,11 +106,11 @@ class AuthCache:
     Every id in a file descends from the introduction its header line
     names, so a walk that reaches one has proved descent as well as
     authenticity. The file is a header line, ``introduction <commit hex>
-    <signer hex>``, then one 40-hex id per line, appended in batches
-    with no overall order. Purely advisory: a file that is missing,
-    unparsable, or headed for another introduction reads as empty (one
-    full check, after which it is replaced), and write failures are
-    warnings.
+    <signer hex>``, then one id per line in 40 lowercase hex digits,
+    appended in batches with no overall order. Purely advisory: a file
+    that is missing, unparsable, or headed for another introduction
+    reads as empty (one full check, after which it is replaced), and
+    write failures are warnings.
     """
 
     def __init__(self, state_dir: str | None = None) -> None:
@@ -126,32 +127,43 @@ class AuthCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.state_dir, "authentication", key)
 
-    def read(self, key: str, intro: ChannelIntroduction) -> set[ObjectId]:
+    def read(self, key: str, intro: ChannelIntroduction) -> Set[ObjectId]:
+        """The ids recorded under ``key``, as a read-only set.
+
+        Only what :meth:`write` produces is accepted: the header, then
+        lines of exactly 40 lowercase hex digits, each ending in ``\\n``.
+        The checks are byte operations over the whole file, and the set
+        is backed by the file's lines, so reading it, ``in`` and
+        ``len()`` run no Python code per cached id.
+        """
         try:
             with open(self._path(key), "rb") as fh:
                 content = fh.read()
         except OSError:
-            return set()
+            return frozenset()
         header = self._header(intro)
         if not content.startswith(header):
             logger.warning("ignoring authentication cache %s: not written for "
                            "this introduction", key)
-            return set()
-        ids: set[ObjectId] = set()
-        for line in content[len(header):].splitlines():
-            try:
-                ids.add(ObjectId.from_hex(line.decode("ascii")))
-            except (ValueError, UnicodeDecodeError):
-                logger.warning("ignoring unparsable authentication cache %s", key)
-                return set()
-        return ids
+            return frozenset()
+        body = content[len(header):]
+        count, rest = divmod(len(body), _LINE)
+        if (
+            rest
+            or body.count(b"\n") != count
+            or body[_LINE - 1 :: _LINE].count(b"\n") != count
+            or body.translate(None, _LINE_BYTES)
+        ):
+            logger.warning("ignoring unparsable authentication cache %s", key)
+            return frozenset()
+        return _CachedIds(body.decode("ascii").split("\n")[:-1])
 
     def write(
         self,
         key: str,
         intro: ChannelIntroduction,
         ids: set[ObjectId],
-        known: set[ObjectId],
+        known: Set[ObjectId],
     ) -> None:
         """Record ``ids``, given ``known``, what :meth:`read` returned
         for this key.
@@ -205,6 +217,55 @@ class AuthCache:
         finally:
             os.close(fd)
         return True
+
+
+# A cache line: 40 lowercase hex digits and a newline.
+_LINE = 41
+_LINE_BYTES = b"0123456789abcdef\n"
+
+
+class _CachedIds(Set):
+    """Read-only set of ids backed by their lowercase hex spellings.
+
+    Membership and length cost no more than on the hex strings; only
+    iteration builds ``ObjectId`` values, one per id, when asked.
+    Set operations return plain sets.
+    """
+
+    __slots__ = ("_hex",)
+
+    def __init__(self, hex_ids) -> None:
+        self._hex = frozenset(hex_ids)
+
+    def __contains__(self, oid) -> bool:
+        try:
+            return oid.raw.hex() in self._hex
+        except AttributeError:
+            return False
+
+    def __len__(self) -> int:
+        return len(self._hex)
+
+    def __iter__(self) -> Iterator[ObjectId]:
+        return map(ObjectId.from_hex, self._hex)
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> set:
+        return set(iterable)
+
+
+class _StopIds:
+    """The walk's stop set, the introduction or any cached id, answered
+    without copying the cache."""
+
+    __slots__ = ("_intro", "_cached")
+
+    def __init__(self, intro: ObjectId, cached: Set[ObjectId]) -> None:
+        self._intro = intro
+        self._cached = cached
+
+    def __contains__(self, oid) -> bool:
+        return oid == self._intro or oid in self._cached
 
 
 def load_keyring(store, keyring_ref: str = DEFAULT_KEYRING_REF) -> Keyring:
@@ -377,10 +438,12 @@ def authenticate_repository(
     """
     options = options if options is not None else AuthOptions()
     cache_key = options.cache_key or AuthCache.key_for(intro)
-    cached: set[ObjectId] = set()
+    cached: Set[ObjectId] = frozenset()
     if options.cache is not None:
         cached = options.cache.read(cache_key, intro)
-    stop = cached | {intro.commit}
+    # Never iterate the cache: it may hold the whole history. Without
+    # one, a plain set keeps the cold walk's lookups as cheap as before.
+    stop = _StopIds(intro.commit, cached) if cached else {intro.commit}
 
     commits = graph.commit_difference(store, target, stop)
     walked = len(commits)

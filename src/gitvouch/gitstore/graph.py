@@ -8,7 +8,7 @@ at already-trusted commits and never visits what lies behind them.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 
 from gitvouch.gitstore.objects import (
     Commit,
@@ -19,7 +19,8 @@ from gitvouch.gitstore.objects import (
 
 
 def read_commit(store, oid: ObjectId) -> Commit:
-    return parse_commit(store.read_object(oid))
+    # The store has checked the payload against ``oid``: no second hash.
+    return parse_commit(store.read_object(oid), oid)
 
 
 def is_ancestor(store, a: ObjectId, b: ObjectId) -> bool:
@@ -50,9 +51,12 @@ def ancestor_steps(store, a: ObjectId, b: ObjectId) -> Iterator[bool]:
         yield False
 
 
-def commit_difference(store, target: ObjectId, stop: set[ObjectId]) -> list[Commit]:
+def commit_difference(store, target: ObjectId, stop: Container[ObjectId]) -> list[Commit]:
     """Commits reachable from ``target`` without passing through an id in
     ``stop``, topologically ordered parents-before-children.
+
+    ``stop`` is only asked ``in``, never iterated, so it may stand for a
+    large set, such as a whole history's cache, at no cost per member.
 
     The walk never reads a stop id, so ids in ``stop`` that are absent
     from the store, or that do not name commits, cost nothing. When

@@ -170,12 +170,14 @@ class Commit:
     gpgsig_span: tuple[int, int] | None = field(repr=False)
 
 
-def parse_commit(obj: RawObject) -> Commit:
+def parse_commit(obj: RawObject, oid: ObjectId | None = None) -> Commit:
     """Parse a commit payload.
 
     Header order is enforced: ``tree``, then ``parent`` lines, then
     ``author`` and ``committer``; any further headers (``gpgsig``,
-    ``encoding``, ...) follow.
+    ``encoding``, ...) follow. ``oid`` is the id ``obj`` was read under,
+    from a store that checked it against the payload's hash; without
+    it, the payload is hashed here.
     """
     if obj.kind != "commit":
         raise NotACommit(f"expected a commit, got {obj.kind}")
@@ -245,7 +247,7 @@ def parse_commit(obj: RawObject) -> Commit:
         signature = values[names.index(b"gpgsig")].decode("utf-8", "replace")
 
     return Commit(
-        id=hash_object("commit", payload),
+        id=oid if oid is not None else hash_object("commit", payload),
         tree=tree,
         parents=parents,
         signature=signature,

@@ -63,10 +63,14 @@ class PackIndex:
         self._large = data[large_base : len(data) - 40]
         if len(data) - 40 < large_base or len(self._large) % 8:
             raise CorruptObject(f"{path}: pack index length does not match its tables")
-        large = [v & 0x7FFFFFFF for (v,) in struct.iter_unpack(">I", self._offsets)
-                 if v & 0x80000000]
-        if large and max(large) >= len(self._large) // 8:
-            raise CorruptObject(f"{path}: pack index large offset out of range")
+        # An offset with its high bit set indexes the large-offset table.
+        # Only packs over 2 GiB have one, so test every entry's high byte
+        # at once before looking at entries one by one.
+        if max(self._offsets[0::4], default=0) & 0x80:
+            large = [v & 0x7FFFFFFF for (v,) in struct.iter_unpack(">I", self._offsets)
+                     if v & 0x80000000]
+            if max(large) >= len(self._large) // 8:
+                raise CorruptObject(f"{path}: pack index large offset out of range")
         self._path = path
         self._pack_size = pack_size
 

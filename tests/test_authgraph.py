@@ -23,7 +23,8 @@ from gitvouch.authgraph import (
 from gitvouch import authz
 from gitvouch.authz import BadVersion, parse_authorizations
 from gitvouch.errors import VouchError
-from gitvouch.gitstore import CorruptObject, MemoryStore, ObjectId, TreeEntry
+from gitvouch.gitstore import CorruptObject, MemoryStore, ObjectId, Repository, TreeEntry
+from gitvouch.gitstore import objects, repository
 from gitvouch.sigverify import BadSignature, UnknownKey, WeakDigest
 
 import fixtures
@@ -196,6 +197,31 @@ class TestPolicyReads:
         assert len(commit_reads) == 301  # the chain and the keyring tip
         assert set(commit_reads) == {1}
         assert len(parsed) == report.policies_parsed == 1
+
+    def test_cold_run_hashes_each_commit_read_once(self, tmp_path, monkeypatch):
+        # The store checks each payload against the id it was asked for;
+        # parsing the commit must not hash it again.
+        chain = fixtures.linear_chain(50)
+        repo = Repository(fixtures.export_to_disk(chain.store, str(tmp_path / "c.git")))
+        hashed, read = [], []
+        real_hash, real_read = objects.hash_object, Repository.read_object
+
+        def counting_hash(kind, payload):
+            hashed.append(kind)
+            return real_hash(kind, payload)
+
+        def counting_read(self, oid):
+            obj = real_read(self, oid)
+            read.append(obj.kind)
+            return obj
+
+        monkeypatch.setattr(objects, "hash_object", counting_hash)
+        monkeypatch.setattr(repository, "hash_object", counting_hash)
+        monkeypatch.setattr(Repository, "read_object", counting_read)
+        report = authenticate_repository(repo, chain.intro, chain.ids[-1])
+        assert report.checked == 49
+        assert read.count("commit") > 50
+        assert hashed.count("commit") == read.count("commit")
 
     def test_one_parse_per_distinct_blob_per_run(self, parsed):
         fig = fixtures.fig4()
@@ -556,6 +582,87 @@ class TestCache:
             assert (one.checked, one.walked) == (1, 1)
             reads[n] = (idle_reads, store.reads)
         assert reads[300] == reads[600]
+
+    def test_warm_runs_parse_no_cached_id(self, tmp_path, monkeypatch):
+        # Reading the cache and stopping the walk at cached ids must not
+        # build an ObjectId per cached id: only the walked commits' own
+        # tree and parent ids are parsed.
+        calls = [0]
+        real = ObjectId.from_hex.__func__
+
+        def counting(cls, text):
+            calls[0] += 1
+            return real(cls, text)
+
+        counts = {}
+        for n in (300, 600):
+            chain = fixtures.linear_chain(n)
+            options = AuthOptions(cache=AuthCache(str(tmp_path / f"s{n}")))
+            authenticate_repository(chain.store, chain.intro, chain.ids[-1], options)
+            alice = fixtures.key("alice")
+            new = chain.store.commit_files(
+                {".guix-authorizations": fixtures.authz_bytes(alice)},
+                [chain.ids[-1]], message="new\n", sign_with=fixtures.signer(alice))
+            with monkeypatch.context() as patch:
+                patch.setattr(ObjectId, "from_hex", classmethod(counting))
+                calls[0] = 0
+                idle = authenticate_repository(
+                    chain.store, chain.intro, chain.ids[-1], options)
+                idle_calls = calls[0]
+                calls[0] = 0
+                one = authenticate_repository(chain.store, chain.intro, new, options)
+            assert (idle.walked, idle.cache_skipped) == (0, 1)
+            assert (one.walked, one.cache_skipped) == (1, 1)
+            counts[n] = (idle_calls, calls[0])
+        assert counts[300] == counts[600]
+
+    @pytest.mark.parametrize("damage", [
+        "truncated_mid_line", "uppercase_line", "crlf", "stray_byte",
+        "non_hex_byte", "no_final_newline",
+    ])
+    def test_damaged_cache_file_reads_as_empty(self, tmp_path, caplog, damage):
+        fig = fixtures.fig4()
+        options = self.make_options(tmp_path)
+        key = AuthCache.key_for(fig.intro)
+        authenticate_repository(fig.store, fig.intro, fig.f, options)
+        recorded = options.cache.read(key, fig.intro)
+        assert len(recorded) == 5
+        path = options.cache._path(key)
+        with open(path, "rb") as fh:
+            intact = fh.read()
+        header, _, body = intact.partition(b"\n")
+        header += b"\n"
+        body = {
+            "truncated_mid_line": body[:-10],
+            "uppercase_line": body[:41].upper() + body[41:],
+            "crlf": body.replace(b"\n", b"\r\n"),
+            "stray_byte": body[:41] + b" " + body[41:],
+            "non_hex_byte": body[:5] + b"g" + body[6:],
+            "no_final_newline": body[:-1],
+        }[damage]
+        with open(path, "wb") as fh:
+            fh.write(header + body)
+        with caplog.at_level("WARNING"):
+            assert options.cache.read(key, fig.intro) == set()
+        assert "unparsable" in caplog.text
+        report = authenticate_repository(fig.store, fig.intro, fig.f, options)
+        assert (report.checked, report.cache_skipped) == (5, 0)
+        # The next run replaced the file rather than appending to it.
+        assert options.cache.read(key, fig.intro) == recorded
+        assert authenticate_repository(fig.store, fig.intro, fig.f, options).checked == 0
+
+    def test_cache_read_is_a_read_only_set(self, tmp_path):
+        fig = fixtures.fig4()
+        cache = AuthCache(str(tmp_path / "state"))
+        ids = {ObjectId(bytes([i]) * 20) for i in range(3)}
+        cache.write("k", fig.intro, ids, set())
+        cached = cache.read("k", fig.intro)
+        assert len(cached) == 3 and ObjectId(b"\x01" * 20) in cached
+        assert ObjectId(b"\x07" * 20) not in cached and "not an id" not in cached
+        assert type(cached | {fig.a}) is set and cached | {fig.a} == ids | {fig.a}
+        assert type(cached - ids) is set and not cached - ids
+        assert {fig.a} - cached == {fig.a} and ids & cached == ids
+        assert not hasattr(cached, "add")
 
     def test_unwritable_cache_is_nonfatal(self, tmp_path, caplog):
         fig = fixtures.fig4()

@@ -241,6 +241,24 @@ class TestHostileInput:
         repo = Repository(make_repo_with_pack(tmp_path, pack, bytes(idx)))
         assert repo.read_object(oid).payload == b"A" * 50
 
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_large_offset_in_last_slot_checked_at_open(self, tmp_path, slot):
+        # Every other entry is an ordinary 31-bit offset, so only the
+        # last slot's high bit marks the index as having large offsets.
+        pack, entries = self.small_pack()
+        ordered = sorted(entries, key=lambda pair: pair[0].raw)
+        (first, first_offset), (last, last_offset) = ordered
+        idx = bytearray(build_idx([(first, first_offset), (last, 0x80000000 | slot)]))
+        idx[-40:-40] = struct.pack(">Q", last_offset)
+        path = make_repo_with_pack(tmp_path, pack, bytes(idx))
+        if slot:
+            with pytest.raises(CorruptObject, match="large offset"):
+                Repository(path)
+            return
+        repo = Repository(path)
+        for oid, _ in ordered:
+            assert repo.read_object(oid).kind == "blob"
+
     @pytest.mark.parametrize("offset", [0, 11, "end"])
     def test_offset_outside_pack_rejected(self, tmp_path, offset):
         pack, entries = self.small_pack()

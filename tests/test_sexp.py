@@ -14,6 +14,8 @@ from gitvouch.sexp import (
     print_sexp,
 )
 
+import sexp_reference
+
 
 class TestParse:
     def test_nested_list_with_string(self):
@@ -93,3 +95,30 @@ sexps = st.recursive(atoms, lambda children: st.lists(children, max_size=5), max
 @given(sexps)
 def test_print_parse_round_trip(expr):
     assert parse_sexp(print_sexp(expr)) == expr
+
+
+# Pieces that exercise every branch of the reader: the grammar's special
+# bytes, atom and string bodies, valid and invalid UTF-8, a byte-order
+# mark, and runs of openers deep enough to meet MAX_NESTING. Whole string
+# literals made of the same pieces reach the escape rules more often.
+_PIECES = [b"(", b")", b'"', b"\\", b";", b"'", b" ", b"\t", b"\r", b"\n",
+           b"a", b"b-1", b"\xc3\xa9", b"\xff", b"\xc3", b"\xef\xbb\xbf",
+           b"(" * 60, b"'" * 60]
+_piece = st.sampled_from(_PIECES)
+_string = st.lists(_piece, max_size=6).map(lambda body: b'"' + b"".join(body) + b'"')
+_inputs = st.lists(_piece | _string, max_size=40).map(b"".join)
+
+
+def _outcome(parse, data, **kwargs):
+    try:
+        return "value", parse(data, **kwargs)
+    except SexpSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+@given(_inputs)
+def test_reader_matches_byte_at_a_time_reference(data):
+    assert _outcome(parse_sexp, data) == _outcome(sexp_reference.parse_sexp, data)
+    for trailing in (False, True):
+        assert _outcome(parse_all, data, allow_trailing_closers=trailing) == _outcome(
+            sexp_reference.parse_all, data, allow_trailing_closers=trailing)

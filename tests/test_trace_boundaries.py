@@ -7,6 +7,9 @@ import importlib.util
 import os
 
 import gitvouch.authgraph
+from gitvouch.authgraph import AuthCache, AuthOptions, authenticate_repository
+
+import fixtures
 
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -32,3 +35,22 @@ def test_every_boundary_resolves():
     finally:
         tracer.uninstall()
     assert not hasattr(gitvouch.authgraph.signed_payload, "__wrapped__")
+
+
+def test_cache_ids_read_counts_the_cached_ids(tmp_path):
+    # The tracer takes ``len()`` of what ``AuthCache.read`` returns.
+    chain = fixtures.linear_chain(30)
+    options = AuthOptions(cache=AuthCache(str(tmp_path / "state")))
+    authenticate_repository(chain.store, chain.intro, chain.ids[-1], options)
+    with open(options.cache._path(AuthCache.key_for(chain.intro)), "rb") as fh:
+        cached_ids = len(fh.read().splitlines()) - 1
+    assert cached_ids == 29  # every commit but the introduction
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        report = authenticate_repository(chain.store, chain.intro, chain.ids[-1], options)
+    finally:
+        tracer.uninstall()
+    assert report.walked == 0
+    stat = tracer.stats["authgraph.cache.read"]
+    assert (stat.calls, stat.extra) == (1, cached_ids)
