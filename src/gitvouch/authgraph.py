@@ -490,7 +490,7 @@ def authenticate_repository(
             signers[cid] = authenticate_commit(store, commit, keyring, parent_sets)
         except VouchError as exc:
             raise exc.annotate(cid.hex)
-        if any(p in stop or p in recorded for p in commit.parents):
+        if options.cache is not None and any(p in stop or p in recorded for p in commit.parents):
             recorded.add(cid)
 
     if options.cache is not None:

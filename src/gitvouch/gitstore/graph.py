@@ -82,21 +82,24 @@ def commit_difference(store, target: ObjectId, stop: Container[ObjectId]) -> lis
                 queue.append(parent)
 
     # Kahn's algorithm over the visited subgraph, parents first.
-    children: dict[ObjectId, list[ObjectId]] = {oid: [] for oid in commits}
+    children: dict[ObjectId, list[ObjectId]] = {}
     indegree = {}
     for oid, commit in commits.items():
-        inside = [p for p in commit.parents if p in commits]
-        indegree[oid] = len(inside)
-        for parent in inside:
-            children[parent].append(oid)
-    ready = deque(sorted((o for o, d in indegree.items() if d == 0)))
+        inside = 0
+        for parent in commit.parents:
+            if parent in commits:
+                inside += 1
+                children.setdefault(parent, []).append(oid)
+        indegree[oid] = inside
+    ready = deque(sorted(o for o, d in indegree.items() if d == 0))
     ordered: list[Commit] = []
     while ready:
         oid = ready.popleft()
         ordered.append(commits[oid])
-        for child in children[oid]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
+        for child in children.get(oid, ()):
+            left = indegree[child] - 1
+            indegree[child] = left
+            if not left:
                 ready.append(child)
     return ordered
 

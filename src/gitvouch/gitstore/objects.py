@@ -8,7 +8,10 @@ bytes its signature covers are the payload with that range cut out.
 from __future__ import annotations
 
 import hashlib
+import re
+from binascii import unhexlify
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from gitvouch.errors import VouchError
 
@@ -43,15 +46,25 @@ class SymrefLoop(GitStoreError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class ObjectId:
-    """A 20-byte SHA-1 object name."""
+class ObjectId(tuple):
+    """A 20-byte SHA-1 object name.
 
-    raw: bytes
+    A one-element tuple holding the raw bytes, so hashing, equality and
+    ordering, which every graph walk does several times per commit, run
+    in C. Ids compare by their raw bytes.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.raw, bytes) or len(self.raw) != 20:
-            raise ValueError(f"object id must be exactly 20 bytes, got {self.raw!r}")
+    __slots__ = ()
+
+    def __new__(cls, raw: bytes) -> "ObjectId":
+        if not isinstance(raw, bytes) or len(raw) != 20:
+            raise ValueError(f"object id must be exactly 20 bytes, got {raw!r}")
+        return tuple.__new__(cls, (raw,))
+
+    def __getnewargs__(self) -> tuple[bytes]:
+        return (self[0],)
+
+    raw = property(itemgetter(0), doc="The 20 raw bytes.")
 
     @classmethod
     def from_hex(cls, text: str | bytes) -> "ObjectId":
@@ -66,7 +79,7 @@ class ObjectId:
 
     @property
     def hex(self) -> str:
-        return self.raw.hex()
+        return self[0].hex()
 
     def __str__(self) -> str:
         return self.hex
@@ -89,8 +102,7 @@ class RawObject:
 
 def hash_object(kind: str, payload: bytes) -> ObjectId:
     """Object id: SHA-1 over ``"<kind> <len>\\0"`` + payload."""
-    h = hashlib.sha1()
-    h.update(b"%s %d\x00" % (kind.encode("ascii"), len(payload)))
+    h = hashlib.sha1(b"%s %d\x00" % (kind.encode("ascii"), len(payload)))
     h.update(payload)
     return ObjectId(h.digest())
 
@@ -170,6 +182,23 @@ class Commit:
     gpgsig_span: tuple[int, int] | None = field(repr=False)
 
 
+# A commit as git writes it without extra headers: tree, parents,
+# author, committer and at most a gpgsig header, with no continuation
+# lines but the signature's, then the blank line. ``parse_commit``
+# reads this shape in one match; ``_parse_headers`` reads any shape and
+# gives the same result for this one.
+_TYPICAL_HEAD_RE = re.compile(
+    rb"tree ([0-9a-fA-F]{40})\n"
+    rb"((?:parent [0-9a-fA-F]{40}\n)*)"
+    rb"author [^\n]*\n"
+    rb"committer [^\n]*\n"
+    rb"(gpgsig [^\n]*(?:\n [^\n]*)*\n)?"
+    rb"\n"
+)
+# The end of a header: a newline that no continuation line follows.
+_HEADER_END_RE = re.compile(rb"\n(?! )")
+
+
 def parse_commit(obj: RawObject, oid: ObjectId | None = None) -> Commit:
     """Parse a commit payload.
 
@@ -182,9 +211,44 @@ def parse_commit(obj: RawObject, oid: ObjectId | None = None) -> Commit:
     if obj.kind != "commit":
         raise NotACommit(f"expected a commit, got {obj.kind}")
     payload = obj.payload
+    typical = _TYPICAL_HEAD_RE.match(payload)
+    if typical is not None:
+        tree = ObjectId(unhexlify(typical[1]))
+        lines = typical[2]
+        parents = tuple(
+            ObjectId(unhexlify(lines[i + 7 : i + 47])) for i in range(0, len(lines), 48)
+        )
+        span = typical.span(3) if typical[3] is not None else None
+    else:
+        tree, parents, span = _parse_headers(payload)
+    signature = None
+    if span is not None:
+        # Unfolded: a line holds no newline, so every "\n " starts a
+        # continuation line.
+        start, stop = span
+        value = payload[start + len(b"gpgsig ") : stop - 1].replace(b"\n ", b"\n")
+        signature = value.decode("utf-8", "replace")
+
+    return Commit(
+        id=oid if oid is not None else hash_object("commit", payload),
+        tree=tree,
+        parents=parents,
+        signature=signature,
+        raw_payload=payload,
+        gpgsig_span=span,
+    )
+
+
+def _parse_headers(
+    payload: bytes,
+) -> tuple[ObjectId, tuple[ObjectId, ...], tuple[int, int] | None]:
+    """The tree, the parents and the ``gpgsig`` header's span of a commit
+    payload of any shape, every header checked for shape and order."""
     n = len(payload)
     names: list[bytes] = []
-    values: list[bytes] = []
+    # Value spans of the tree and parent headers, continuation lines
+    # included; the other headers are only checked.
+    ids: list[tuple[int, int]] = []
     sig_spans: list[tuple[int, int]] = []
     pos = 0
     while True:
@@ -192,29 +256,25 @@ def parse_commit(obj: RawObject, oid: ObjectId | None = None) -> Commit:
             raise MalformedCommit("no blank line separating headers from message")
         if payload[pos] == 0x0A:
             break
-        start = pos
-        eol = payload.find(b"\n", pos)
-        if eol < 0:
-            raise MalformedCommit("header line without newline")
-        space = payload.find(b" ", pos, eol)
+        end = _HEADER_END_RE.search(payload, pos)
+        if end is None:
+            if payload.find(b"\n", pos) < 0:
+                raise MalformedCommit("header line without newline")
+            raise MalformedCommit("continuation line without newline")
+        end = end.end()
+        space = payload.find(b" ", pos, end)
         if space == pos:
             raise MalformedCommit("continuation line without a preceding header")
-        if space < 0:
-            raise MalformedCommit(f"malformed header line {payload[pos:eol]!r}")
-        pos = eol + 1
-        # Continuation lines carry one leading space per line.
-        while pos < n and payload[pos] == 0x20:
-            eol = payload.find(b"\n", pos)
-            if eol < 0:
-                raise MalformedCommit("continuation line without newline")
-            pos = eol + 1
-        name = payload[start:space]
+        name = payload[pos:space]
+        if space < 0 or b"\n" in name:
+            line = payload[pos : payload.find(b"\n", pos)]
+            raise MalformedCommit(f"malformed header line {line!r}")
         names.append(name)
-        # Unfolded value: a line holds no newline, so every "\n " starts
-        # a continuation line.
-        values.append(payload[space + 1 : pos - 1].replace(b"\n ", b"\n"))
-        if name == b"gpgsig":
-            sig_spans.append((start, pos))
+        if name == b"tree" or name == b"parent":
+            ids.append((space + 1, end - 1))
+        elif name == b"gpgsig":
+            sig_spans.append((pos, end))
+        pos = end
 
     if not names or names[0] != b"tree":
         raise MalformedCommit("first header must be 'tree'")
@@ -230,30 +290,21 @@ def parse_commit(obj: RawObject, oid: ObjectId | None = None) -> Commit:
     if idx + 1 >= len(names) or names[idx + 1] != b"committer":
         raise MalformedCommit("missing 'committer' header")
 
-    def oid_of(value: bytes, what: str) -> ObjectId:
-        try:
-            return ObjectId.from_hex(value)
-        except ValueError:
-            raise MalformedCommit(f"bad {what} id {value!r}") from None
+    def oid_of(start: int, stop: int, what: str) -> ObjectId:
+        value = payload[start:stop]
+        if len(value) == 40:
+            try:
+                return ObjectId(unhexlify(value))
+            except ValueError:
+                pass
+        value = value.replace(b"\n ", b"\n")
+        raise MalformedCommit(f"bad {what} id {value!r}")
 
-    tree = oid_of(values[0], "tree")
-    parents = tuple(oid_of(v, "parent") for v in values[1:idx])
-
+    tree = oid_of(*ids[0], "tree")
+    parents = tuple(oid_of(start, stop, "parent") for start, stop in ids[1:])
     if len(sig_spans) > 1:
         raise MalformedCommit("multiple 'gpgsig' headers")
-    span = sig_spans[0] if sig_spans else None
-    signature = None
-    if span is not None:
-        signature = values[names.index(b"gpgsig")].decode("utf-8", "replace")
-
-    return Commit(
-        id=oid if oid is not None else hash_object("commit", payload),
-        tree=tree,
-        parents=parents,
-        signature=signature,
-        raw_payload=payload,
-        gpgsig_span=span,
-    )
+    return tree, parents, sig_spans[0] if sig_spans else None
 
 
 def signed_payload(commit: Commit) -> bytes:

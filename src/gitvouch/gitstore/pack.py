@@ -2,7 +2,8 @@
 
 Supports both offset-deltas and reference-deltas; delta chains deeper
 than MAX_DELTA_DEPTH are rejected. File access goes through ``os.pread``
-so a pack can be shared by concurrent readers without locking.
+so a pack can be shared by concurrent readers; only its cache of delta
+bases takes a lock.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import os
 import struct
 import sys
+import threading
 import zlib
-from bisect import bisect_left
 
 from gitvouch.gitstore.objects import BadDelta, CorruptObject, ObjectId
 
@@ -26,6 +27,8 @@ KIND_BY_TYPE = {OBJ_COMMIT: "commit", OBJ_TREE: "tree", OBJ_BLOB: "blob", OBJ_TA
 
 IDX_V2_MAGIC = b"\xfftOc"
 MAX_DELTA_DEPTH = 64
+# Bytes of inflated delta bases each PackFile keeps for later deltas.
+BASE_CACHE_BYTES = 4 << 20
 _READ_CHUNK = 65536
 # Longest pack object header this reader accepts: a type-and-size
 # varint (10 bytes for a 64-bit size), then a reference-delta's 20-byte
@@ -75,15 +78,20 @@ class PackIndex:
         self._pack_size = pack_size
 
     def find_offset(self, oid: ObjectId) -> int | None:
-        first = oid.raw[0]
-        lo = self._fanout[first - 1] if first else 0
-        hi = self._fanout[first]
         raw = oid.raw
+        first = raw[0]
+        lo = self._fanout[first - 1] if first else 0
+        hi = end = self._fanout[first]
         shas = self._shas
-        idx = bisect_left(_ShaView(shas), raw, lo, hi)
-        if idx >= hi or shas[idx * 20 : idx * 20 + 20] != raw:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if shas[mid * 20 : mid * 20 + 20] < raw:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo >= end or shas[lo * 20 : lo * 20 + 20] != raw:
             return None
-        (value,) = struct.unpack_from(">I", self._offsets, idx * 4)
+        (value,) = struct.unpack_from(">I", self._offsets, lo * 4)
         if value & 0x80000000:
             (value,) = struct.unpack_from(">Q", self._large, (value & 0x7FFFFFFF) * 8)
         # Objects lie between the 12-byte pack header and its 20-byte
@@ -96,20 +104,18 @@ class PackIndex:
         return self.find_offset(oid) is not None
 
 
-class _ShaView:
-    """Expose the flat sha table as a sequence of 20-byte keys for bisect."""
-
-    def __init__(self, shas: bytes) -> None:
-        self._shas = shas
-
-    def __getitem__(self, i: int) -> bytes:
-        return self._shas[i * 20 : i * 20 + 20]
-
-    def __len__(self) -> int:
-        return len(self._shas) // 20
-
-
 class PackFile:
+    """One pack and its index.
+
+    Reading an offset-delta resolves its base first, and a base is
+    often shared by many deltas (``git gc`` stores most commits of a
+    line as deltas against a handful of them). So each pack keeps the
+    inflated bases it resolves, up to BASE_CACHE_BYTES, and evicts the
+    oldest first. An entry also records how many deltas lie below it,
+    so a chain that reaches it is still held to MAX_DELTA_DEPTH as if it
+    had been read through.
+    """
+
     def __init__(self, pack_path: str, idx_path: str) -> None:
         self.path = pack_path
         self._fd = os.open(pack_path, os.O_RDONLY)
@@ -117,6 +123,11 @@ class PackFile:
         header = os.pread(self._fd, 12, 0)
         if header[:4] != b"PACK" or struct.unpack(">I", header[4:8])[0] != 2:
             raise CorruptObject(f"{pack_path}: not a version-2 pack")
+        # Base offset -> (kind, payload, deltas below it), oldest first.
+        # Lookups take no lock: a dict lookup is atomic.
+        self._bases: dict[int, tuple[str, bytes, int]] = {}
+        self._bases_bytes = 0
+        self._bases_lock = threading.Lock()
 
     def close(self) -> None:
         if self._fd >= 0:
@@ -141,57 +152,83 @@ class PackFile:
         offset = self.index.find_offset(oid)
         if offset is None:
             return None
-        return self._object_at(offset, resolve_ref_delta, depth)
+        kind, payload, _ = self._object_at(offset, resolve_ref_delta, depth)
+        return kind, payload
 
-    def _object_at(self, offset: int, resolve_ref_delta, depth: int) -> tuple[str, bytes]:
+    def _object_at(
+        self, offset: int, resolve_ref_delta, depth: int
+    ) -> tuple[str, bytes, int | None]:
+        """(kind, payload, deltas below). The last counts the deltas from
+        the object at ``offset`` down to the whole object its chain ends
+        in, 0 for a whole object. It is None when a reference-delta is
+        among them, since that chain may continue in another pack."""
         if depth > MAX_DELTA_DEPTH:
             raise BadDelta(f"{self.path}: delta chain deeper than {MAX_DELTA_DEPTH}")
         # One read covers the type-and-size varint, an offset-delta's
         # distance varint or a reference-delta's base id.
         head = os.pread(self._fd, _HEADER_READ, offset)
-        pos = 0
-
-        def byte() -> int:
-            nonlocal pos
-            if pos >= len(head):
-                raise CorruptObject(f"{self.path}: truncated object header at {offset}")
-            pos += 1
-            return head[pos - 1]
-
-        b = byte()
-        obj_type = (b >> 4) & 0x07
-        size = b & 0x0F
-        shift = 4
-        while b & 0x80:
-            b = byte()
-            size |= (b & 0x7F) << shift
-            shift += 7
+        try:
+            b = head[0]
+            obj_type = (b >> 4) & 0x07
+            size = b & 0x0F
+            shift = 4
+            pos = 1
+            while b & 0x80:
+                b = head[pos]
+                pos += 1
+                size |= (b & 0x7F) << shift
+                shift += 7
+            if obj_type == OBJ_OFS_DELTA:
+                b = head[pos]
+                pos += 1
+                rel = b & 0x7F
+                while b & 0x80:
+                    b = head[pos]
+                    pos += 1
+                    rel = ((rel + 1) << 7) | (b & 0x7F)
+        except IndexError:
+            raise CorruptObject(f"{self.path}: truncated object header at {offset}") from None
 
         if obj_type == OBJ_OFS_DELTA:
-            b = byte()
-            rel = b & 0x7F
-            while b & 0x80:
-                b = byte()
-                rel = ((rel + 1) << 7) | (b & 0x7F)
             base_offset = offset - rel
             if base_offset < 0 or rel == 0:
                 raise BadDelta(f"{self.path}: bad delta base offset at {offset}")
             delta = self._inflate(offset + pos, size)
-            kind, base = self._object_at(base_offset, resolve_ref_delta, depth + 1)
-            return kind, apply_delta(base, delta)
+            base = self._bases.get(base_offset)
+            if base is None:
+                base = self._object_at(base_offset, resolve_ref_delta, depth + 1)
+                if base[2] is not None:
+                    self._remember(base_offset, base)
+            elif depth + 1 + base[2] > MAX_DELTA_DEPTH:
+                raise BadDelta(f"{self.path}: delta chain deeper than {MAX_DELTA_DEPTH}")
+            kind, payload, below = base
+            return kind, apply_delta(payload, delta), None if below is None else below + 1
 
         if obj_type == OBJ_REF_DELTA:
             if pos + 20 > len(head):
                 raise CorruptObject(f"{self.path}: truncated object header at {offset}")
             base_id = ObjectId(head[pos : pos + 20])
             delta = self._inflate(offset + pos + 20, size)
-            kind, base = resolve_ref_delta(base_id, depth + 1)
-            return kind, apply_delta(base, delta)
+            kind, payload = resolve_ref_delta(base_id, depth + 1)
+            return kind, apply_delta(payload, delta), None
 
         kind = KIND_BY_TYPE.get(obj_type)
         if kind is None:
             raise CorruptObject(f"{self.path}: unknown pack object type {obj_type}")
-        return kind, self._inflate(offset + pos, size)
+        return kind, self._inflate(offset + pos, size), 0
+
+    def _remember(self, offset: int, base: tuple[str, bytes, int]) -> None:
+        size = len(base[1])
+        if size > BASE_CACHE_BYTES:
+            return
+        with self._bases_lock:
+            if offset in self._bases:
+                return
+            self._bases[offset] = base
+            self._bases_bytes += size
+            while self._bases_bytes > BASE_CACHE_BYTES:
+                _, evicted, _ = self._bases.pop(next(iter(self._bases)))
+                self._bases_bytes -= len(evicted)
 
     def _inflate(self, pos: int, expected: int) -> bytes:
         """Inflate the zlib stream at ``pos``, which must yield exactly
@@ -199,10 +236,12 @@ class PackFile:
 
         Output is capped one byte past ``expected``, so a stream that
         inflates to more than it declares fails without being inflated
-        whole. The first read is sized for an ``expected``-byte stream.
+        whole. The first read is sized for an ``expected``-byte stream,
+        which is usually the only one.
         """
         decomp = zlib.decompressobj()
-        out = bytearray()
+        chunks = []
+        got = 0
         want = min(expected + 64, _READ_CHUNK)
         try:
             while not decomp.eof:
@@ -213,18 +252,18 @@ class PackFile:
                         raise CorruptObject(f"{self.path}: truncated zlib stream")
                     pos += len(data)
                     want = _READ_CHUNK
-                out += decomp.decompress(data, min(expected + 1 - len(out), sys.maxsize))
-                if len(out) > expected:
+                chunk = decomp.decompress(data, min(expected + 1 - got, sys.maxsize))
+                got += len(chunk)
+                if got > expected:
                     raise CorruptObject(
                         f"{self.path}: object inflates past its declared {expected} bytes"
                     )
+                chunks.append(chunk)
         except zlib.error as exc:
             raise CorruptObject(f"{self.path}: undecodable object: {exc}") from exc
-        if len(out) != expected:
-            raise CorruptObject(
-                f"{self.path}: size mismatch (expected {expected}, got {len(out)})"
-            )
-        return bytes(out)
+        if got != expected:
+            raise CorruptObject(f"{self.path}: size mismatch (expected {expected}, got {got})")
+        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 def _delta_varint(data: bytes, pos: int) -> tuple[int, int]:
@@ -249,38 +288,56 @@ def apply_delta(base: bytes, delta: bytes) -> bytes:
     """
     src_size, pos = _delta_varint(delta, 0)
     dst_size, pos = _delta_varint(delta, pos)
-    if src_size != len(base):
-        raise BadDelta(f"delta base size mismatch ({src_size} != {len(base)})")
+    base_size = len(base)
+    if src_size != base_size:
+        raise BadDelta(f"delta base size mismatch ({src_size} != {base_size})")
     out = bytearray()
-    while pos < len(delta):
+    written = 0
+    end = len(delta)
+    while pos < end:
         inst = delta[pos]
         pos += 1
         if inst & 0x80:  # copy from base
-            if pos + (inst & 0x7F).bit_count() > len(delta):
+            if pos + (inst & 0x7F).bit_count() > end:
                 raise BadDelta("truncated delta copy instruction")
-            offset = 0
-            size = 0
-            for bit in range(4):
-                if inst & (1 << bit):
-                    offset |= delta[pos] << (8 * bit)
-                    pos += 1
-            for bit in range(3):
-                if inst & (0x10 << bit):
-                    size |= delta[pos] << (8 * bit)
-                    pos += 1
+            offset = size = 0
+            if inst & 0x01:
+                offset = delta[pos]
+                pos += 1
+            if inst & 0x02:
+                offset |= delta[pos] << 8
+                pos += 1
+            if inst & 0x04:
+                offset |= delta[pos] << 16
+                pos += 1
+            if inst & 0x08:
+                offset |= delta[pos] << 24
+                pos += 1
+            if inst & 0x10:
+                size = delta[pos]
+                pos += 1
+            if inst & 0x20:
+                size |= delta[pos] << 8
+                pos += 1
+            if inst & 0x40:
+                size |= delta[pos] << 16
+                pos += 1
             if size == 0:
                 size = 0x10000
-            if offset + size > len(base):
+            if offset + size > base_size:
                 raise BadDelta("delta copy out of range")
             source, start = base, offset
         elif inst:  # literal insert
+            if pos + inst > end:
+                raise BadDelta("truncated delta insert instruction")
             source, start, size = delta, pos, inst
             pos += inst
         else:
             raise BadDelta("reserved delta instruction 0")
-        if len(out) + size > dst_size:
+        written += size
+        if written > dst_size:
             raise BadDelta(f"delta result exceeds its declared {dst_size} bytes")
         out += source[start : start + size]
-    if len(out) != dst_size:
-        raise BadDelta(f"delta result size mismatch ({len(out)} != {dst_size})")
+    if written != dst_size:
+        raise BadDelta(f"delta result size mismatch ({written} != {dst_size})")
     return bytes(out)

@@ -38,11 +38,42 @@ def _crc24_table() -> list[int]:
 _TABLE = _crc24_table()
 
 
-def crc24(data: bytes) -> int:
-    crc = _CRC24_INIT
-    for byte in data:
-        crc = ((crc << 8) ^ _TABLE[((crc >> 16) ^ byte) & 0xFF]) & 0xFFFFFF
+def _through_three_bytes(crc: int) -> int:
+    """The register after shifting three zero bytes through ``crc``."""
+    for _ in range(3):
+        crc = ((crc << 8) ^ _TABLE[crc >> 16]) & 0xFFFFFF
     return crc
+
+
+# The CRC is linear in its register, so shifting three bytes through it
+# is the XOR of what each of the register's three bytes contributes.
+_TABLE_HI = [_through_three_bytes(b << 16) for b in range(256)]
+_TABLE_MID = [_through_three_bytes(b << 8) for b in range(256)]
+_TABLE_LO = [_through_three_bytes(b) for b in range(256)]
+
+
+def crc24(data: bytes) -> int:
+    """OpenPGP CRC-24 (RFC 4880 §6.1), three bytes per step."""
+    crc = _CRC24_INIT
+    hi, mid, lo = _TABLE_HI, _TABLE_MID, _TABLE_LO
+    whole = len(data) - len(data) % 3
+    for a, b, c in zip(data[0:whole:3], data[1:whole:3], data[2:whole:3]):
+        crc = hi[(crc >> 16) ^ a] ^ mid[((crc >> 8) & 0xFF) ^ b] ^ lo[(crc & 0xFF) ^ c]
+    for byte in data[whole:]:
+        crc = ((crc << 8) ^ _TABLE[(crc >> 16) ^ byte]) & 0xFFFFFF
+    return crc
+
+
+# The usual shape of a block, as git and gpg write it: no armor headers,
+# one blank line, non-empty base64 lines, a checksum line, and "\n" line
+# ends throughout. ``dearmor`` reads a block of this shape in one match
+# and gives it the same reading as its line-by-line path.
+_PLAIN_BLOCK_RE = re.compile(
+    r"-----BEGIN PGP [A-Z0-9 ]+-----\n\n"
+    r"((?:[A-Za-z0-9+/][A-Za-z0-9+/=]*\n)*)"
+    r"(?:=([A-Za-z0-9+/]{4})\n)?"
+    r"-----END PGP [A-Z0-9 ]+-----\n?"
+)
 
 
 def dearmor(text: str | bytes) -> bytes:
@@ -50,6 +81,31 @@ def dearmor(text: str | bytes) -> bytes:
     present."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", "replace")
+    plain = _PLAIN_BLOCK_RE.fullmatch(text)
+    if plain is not None:
+        encoded, checksum = plain[1].replace("\n", ""), plain[2]
+    else:
+        encoded, checksum = _armored_body(text)
+    try:
+        data = base64.b64decode(encoded, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise BadArmor(f"invalid base64 payload: {exc}") from exc
+
+    if checksum is not None:
+        try:
+            stated = int.from_bytes(base64.b64decode(checksum, validate=True), "big")
+        except (binascii.Error, ValueError) as exc:
+            raise BadArmor(f"invalid checksum encoding: {exc}") from exc
+        actual = crc24(data)
+        if stated != actual:
+            raise BadChecksum(f"CRC-24 mismatch: stated {stated:06x}, actual {actual:06x}")
+    return data
+
+
+def _armored_body(text: str) -> tuple[str, str | None]:
+    """The base64 payload of the first armored block in ``text``, lines
+    joined, and its checksum's four characters, if it has a checksum
+    line."""
     lines = text.splitlines()
 
     start = next((i for i, l in enumerate(lines) if _BEGIN_RE.match(l)), None)
@@ -77,21 +133,7 @@ def dearmor(text: str | bytes) -> bytes:
             checksum = line[1:5]
         else:
             data_lines.append(line)
-    try:
-        data = base64.b64decode("".join(data_lines), validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise BadArmor(f"invalid base64 payload: {exc}") from exc
-
-    if checksum is not None:
-        try:
-            stated = int.from_bytes(base64.b64decode(checksum, validate=True), "big")
-        except (binascii.Error, ValueError) as exc:
-            raise BadArmor(f"invalid checksum encoding: {exc}") from exc
-        if stated != crc24(data):
-            raise BadChecksum(
-                f"CRC-24 mismatch: stated {stated:06x}, actual {crc24(data):06x}"
-            )
-    return data
+    return "".join(data_lines), checksum
 
 
 def armor(kind: str, data: bytes) -> str:

@@ -8,6 +8,7 @@ verification can report the primary key.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from gitvouch.errors import VouchError
@@ -26,7 +27,9 @@ class NoKeyFound(VouchError):
     pass
 
 
-_ALGO_NAMES = {ALGO_RSA: "rsa", ALGO_RSA_SIGN_ONLY: "rsa", ALGO_EDDSA: "ed25519"}
+# Names of the public-key algorithms keys and signatures are checked
+# with; a signature is checked only with a key of the same name.
+ALGORITHM_NAMES = {ALGO_RSA: "rsa", ALGO_RSA_SIGN_ONLY: "rsa", ALGO_EDDSA: "ed25519"}
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class PublicKey:
 
 
 def _algorithm_name(algo: int) -> str:
-    return _ALGO_NAMES.get(algo, f"unsupported({algo})")
+    return ALGORITHM_NAMES.get(algo, f"unsupported({algo})")
 
 
 def load_keys(data: bytes | str) -> list[PublicKey]:
@@ -102,6 +105,7 @@ class Keyring:
     def __init__(self, keys: list[PublicKey] | None = None) -> None:
         self._by_fingerprint: dict[Fingerprint, PublicKey] = {}
         self._by_key_id: dict[bytes, list[Fingerprint]] = {}
+        self._public_keys: dict[bytes, object] = {}
         for key in keys or []:
             self.add(key)
 
@@ -117,6 +121,14 @@ class Keyring:
 
     def get(self, fingerprint: Fingerprint) -> PublicKey | None:
         return self._by_fingerprint.get(fingerprint)
+
+    def public_key(self, key: PublicKey, build: Callable[[PublicKey], object]) -> object:
+        """``build(key)``, built once per key of this keyring: the
+        verifier's ready-to-use public key object."""
+        public = self._public_keys.get(key.fingerprint.raw)
+        if public is None:
+            public = self._public_keys[key.fingerprint.raw] = build(key)
+        return public
 
     def candidates_for_key_id(self, key_id: bytes) -> list[PublicKey]:
         return [self._by_fingerprint[f] for f in self._by_key_id.get(key_id, [])]

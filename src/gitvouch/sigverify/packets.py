@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from gitvouch.errors import VouchError
 from gitvouch.sigverify.fingerprint import Fingerprint
@@ -42,8 +43,7 @@ class Unsupported(VouchError):
     pass
 
 
-@dataclass(frozen=True)
-class Subpacket:
+class Subpacket(NamedTuple):
     type: int
     critical: bool
     data: bytes
@@ -239,18 +239,17 @@ def _read_subpacket_length(data: bytes, pos: int) -> tuple[int, int]:
 def _parse_subpackets(area: bytes) -> tuple[Subpacket, ...]:
     out = []
     pos = 0
-    while pos < len(area):
-        length, pos = _read_subpacket_length(area, pos)
-        if length == 0 or pos + length > len(area):
+    end = len(area)
+    while pos < end:
+        length = area[pos]
+        if length < 192:
+            pos += 1
+        else:
+            length, pos = _read_subpacket_length(area, pos)
+        if length == 0 or pos + length > end:
             raise Truncated("subpacket body truncated")
         type_byte = area[pos]
-        out.append(
-            Subpacket(
-                type=type_byte & 0x7F,
-                critical=bool(type_byte & 0x80),
-                data=area[pos + 1 : pos + length],
-            )
-        )
+        out.append(Subpacket(type_byte & 0x7F, type_byte >= 0x80, area[pos + 1 : pos + length]))
         pos += length
     return tuple(out)
 

@@ -19,7 +19,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from gitvouch.errors import VouchError
 from gitvouch.sigverify.fingerprint import Fingerprint
-from gitvouch.sigverify.keys import Keyring, PublicKey
+from gitvouch.sigverify.keys import ALGORITHM_NAMES, Keyring, PublicKey
 from gitvouch.sigverify.packets import (
     HASH_MD5,
     HASH_SHA1,
@@ -75,22 +75,28 @@ def _candidates(sig: SignaturePacket, keyring: Keyring) -> list[PublicKey]:
     return []
 
 
-def _check_one(key: PublicKey, sig: SignaturePacket, digest: bytes) -> None:
+def _public_key(key: PublicKey):
+    """The ``cryptography`` public key for ``key``."""
+    if key.algorithm == "ed25519":
+        return Ed25519PublicKey.from_public_bytes(key.material)
+    n, e = key.material
+    return rsa.RSAPublicNumbers(e, n).public_key()
+
+
+def _check_one(key: PublicKey, sig: SignaturePacket, digest: bytes, keyring: Keyring) -> None:
     if key.algorithm == "ed25519":
         r, s = sig.material
         try:
             raw = r.to_bytes(32, "big") + s.to_bytes(32, "big")
-            Ed25519PublicKey.from_public_bytes(key.material).verify(raw, digest)
+            keyring.public_key(key, _public_key).verify(raw, digest)
         except (InvalidSignature, ValueError, OverflowError) as exc:
             raise BadSignature(f"Ed25519 verification failed: {exc}") from exc
         return
     if key.algorithm == "rsa":
         n, e = key.material
-        size = (n.bit_length() + 7) // 8
-        sig_bytes = int(sig.material).to_bytes(size, "big")
         try:
-            public = rsa.RSAPublicNumbers(e, n).public_key()
-            public.verify(
+            sig_bytes = sig.material.to_bytes((n.bit_length() + 7) // 8, "big")
+            keyring.public_key(key, _public_key).verify(
                 sig_bytes,
                 digest,
                 padding.PKCS1v15(),
@@ -112,8 +118,9 @@ def verify_detailed(
     if digest_ctor is None:
         raise Unsupported(f"hash algorithm {sig.hash_algorithm} not supported")
 
-    data = _canonical_payload(payload, sig.sig_type)
-    digest = digest_ctor(data + sig.trailer()).digest()
+    hasher = digest_ctor(_canonical_payload(payload, sig.sig_type))
+    hasher.update(sig.trailer())
+    digest = hasher.digest()
     if digest[:2] != sig.left16:
         raise BadSignature(
             f"leading digest bytes mismatch "
@@ -123,21 +130,25 @@ def verify_detailed(
     candidates = _candidates(sig, keyring)
     if not candidates:
         raise UnknownKey("signature issuer is not in the keyring")
-    if not any(c.verifiable for c in candidates):
+    verifiable = [c for c in candidates if c.verifiable]
+    if not verifiable:
         raise Unsupported(
             f"issuer key algorithm {candidates[0].algorithm} not in verify subset"
         )
-    if sig.pubkey_algorithm not in (1, 3, 22):
+    if sig.pubkey_algorithm not in ALGORITHM_NAMES:
         raise Unsupported(
             f"public-key algorithm {sig.pubkey_algorithm} not supported"
         )
 
     last: BadSignature | None = None
-    for key in candidates:
-        if not key.verifiable:
-            continue
+    for key in verifiable:
         try:
-            _check_one(key, sig, digest)
+            if key.algorithm != ALGORITHM_NAMES[sig.pubkey_algorithm]:
+                raise BadSignature(
+                    f"algorithm {sig.pubkey_algorithm} signature names "
+                    f"{key.algorithm} key {key.fingerprint.display()}"
+                )
+            _check_one(key, sig, digest, keyring)
             return VerifiedSignature(
                 primary_fingerprint=key.primary_fingerprint,
                 key_fingerprint=key.fingerprint,

@@ -22,8 +22,8 @@ from gitvouch.authz import (
 )
 from gitvouch.gitstore import MemoryStore, ObjectId, TreeEntry, serialize_tree
 from gitvouch.sigverify import Fingerprint, SigningKey, export_public, sign_for_tests
-from gitvouch.sigverify.armor import armor
-from gitvouch.sigverify.packets import ALGO_RSA, HASH_SHA256, HASH_SHA512
+from gitvouch.sigverify.armor import armor, dearmor
+from gitvouch.sigverify.packets import ALGO_EDDSA, ALGO_RSA, HASH_SHA256, HASH_SHA512, _read_header
 
 _KEY_CACHE: dict[str, SigningKey] = {}
 
@@ -475,6 +475,32 @@ class RsaTestKey:
             + value.to_bytes((value.bit_length() + 7) // 8, "big")
         )
         return armor("SIGNATURE", self._packet(2, body))
+
+
+def claim_algorithm(armored: str, algorithm: int, payload: bytes) -> str:
+    """The signature in ``armored`` over ``payload``, rewritten to claim
+    public-key ``algorithm``: its issuer and its other subpackets are
+    kept, its leading digest bytes are recomputed so they match, and its
+    material is replaced by what that algorithm reads (one MPI for RSA,
+    two for EdDSA) but cannot verify."""
+    binary = dearmor(armored)
+    _, start, length = _read_header(binary, 0)
+    body = bytearray(binary[start : start + length])
+    body[2] = algorithm
+    hashed_end = 6 + int.from_bytes(body[4:6], "big")
+    unhashed_end = hashed_end + 2 + int.from_bytes(body[hashed_end : hashed_end + 2], "big")
+    trailer = bytes(body[:hashed_end]) + b"\x04\xff" + hashed_end.to_bytes(4, "big")
+    hasher = hashlib.sha256 if body[3] == HASH_SHA256 else hashlib.sha512
+    digest = hasher(payload + trailer).digest()
+
+    def mpi(value: int) -> bytes:
+        return value.bit_length().to_bytes(2, "big") + value.to_bytes(
+            (value.bit_length() + 7) // 8, "big"
+        )
+
+    material = mpi(2**255 + 1) * 2 if algorithm == ALGO_EDDSA else mpi(2**2047 + 1)
+    new_body = bytes(body[:unhashed_end]) + digest[:2] + material
+    return armor("SIGNATURE", RsaTestKey._packet(2, new_body))
 
 
 # -- repositories built with reference tooling (git + gpg) --------------

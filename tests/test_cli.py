@@ -141,6 +141,35 @@ class TestAuthenticateCommand:
         assert err.startswith(f"gitvouch: error: CorruptObject at commit {chain.target.hex}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("claimed", [1, 22], ids=["rsa-claim-ed25519-key", "eddsa-claim-rsa-key"])
+    def test_signature_naming_key_of_other_algorithm_exit_one(
+        self, tmp_path, state_dir, capsys, claimed
+    ):
+        alice, rita = fixtures.key("alice"), fixtures.RsaTestKey()
+        store = MemoryStore()
+        keys = store.commit_files(
+            {"alice.key": fixtures.export_public(alice).encode(), "rita.key": rita.export_binary()},
+            message="keys\n",
+        )
+        store.set_ref("refs/heads/keyring", keys)
+        policy = {".guix-authorizations": fixtures.authz_bytes(alice)}
+        intro = store.commit_files(policy, message="intro\n", sign_with=fixtures.signer(alice))
+
+        def forge(payload):
+            genuine = fixtures.sign_for_tests(payload, alice) if claimed == 1 else rita.sign(payload)
+            return fixtures.claim_algorithm(genuine, claimed, payload)
+
+        forged = store.commit_files(policy, [intro], message="forged\n", sign_with=forge)
+        path = fixtures.export_to_disk(store, str(tmp_path / "forged.git"))
+        code = cli.main([
+            "authenticate", intro.hex, alice.fingerprint.display(),
+            "--repository", path, "--end", forged.hex, "--state-dir", state_dir,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"gitvouch: error: BadSignature at commit {forged.hex}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "commit,fpr",
         [

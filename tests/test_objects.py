@@ -14,6 +14,7 @@ from gitvouch.gitstore import (
     serialize_tree,
     signed_payload,
 )
+from gitvouch.gitstore import objects
 from gitvouch.gitstore.objects import CorruptObject, MalformedCommit, NotACommit, TreeEntry
 
 import fixtures
@@ -117,6 +118,31 @@ class TestParseCommit:
     def test_not_a_commit(self):
         with pytest.raises(NotACommit):
             parse_commit(RawObject("blob", b"hello\n"))
+
+
+class TestTypicalShape:
+    """``parse_commit`` reads a commit of git's usual shape in one match;
+    the header loop must read every such commit the same way."""
+
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.one_of(st.none(), st.lists(header_line, min_size=1, max_size=6)),
+        st.binary(max_size=32),
+        st.data(),
+    )
+    def test_one_match_reads_as_the_header_loop(self, parents, sig_lines, message, data):
+        signature = None if sig_lines is None else b"\n".join(sig_lines)
+        payload = make_commit_payload(parents=parents, signature=signature, message=message)
+        assert objects._TYPICAL_HEAD_RE.match(payload)
+        # One byte of the headers replaced may leave the shape or not.
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(min_value=0, max_value=payload.index(b"\n\n")))
+            byte = data.draw(st.sampled_from(b"\n 0aAg-\xff"))
+            payload = payload[:at] + bytes([byte]) + payload[at + 1 :]
+        if not objects._TYPICAL_HEAD_RE.match(payload):
+            return
+        commit = parse_commit(RawObject("commit", payload))
+        assert (commit.tree, commit.parents, commit.gpgsig_span) == objects._parse_headers(payload)
 
 
 class TestSignedPayload:

@@ -5,6 +5,7 @@ applier's failure modes."""
 import hashlib
 import os
 import struct
+import sys
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from gitvouch.gitstore import BadDelta, CorruptObject, ObjectId, Repository, hash_object
+from gitvouch.gitstore import pack as pack_module
 from gitvouch.gitstore.pack import (
     MAX_DELTA_DEPTH,
     OBJ_BLOB,
@@ -319,6 +321,12 @@ class TestApplyDelta:
         with pytest.raises(BadDelta, match="truncated delta copy"):
             apply_delta(base, delta)
 
+    def test_truncated_insert_rejected(self):
+        # The insert claims 5 bytes and 3 follow, which is also the
+        # declared result size.
+        with pytest.raises(BadDelta, match="truncated delta insert"):
+            apply_delta(self.BASE, self.delta(b"\x05abc", dst=3))
+
     def test_delta_bomb_rejected_before_growing(self):
         # 84 bytes that copy a 1 MiB base 40 times, declaring a 5-byte result.
         base = bytes(1 << 20)
@@ -331,3 +339,69 @@ class TestApplyDelta:
         finally:
             tracemalloc.stop()
         assert peak < 64 << 10
+
+
+def chain_object_id(depth: int) -> ObjectId:
+    """Id of the object ``depth`` deltas above the base of a chain_pack."""
+    return hash_object("blob", b"A" * 50 + b"X" * depth)
+
+
+class TestDeltaBaseCache:
+    def test_mid_chain_read_does_not_shorten_the_depth_bound(self, tmp_path):
+        # Reading the 10th object caches the bases below it. The tip, 65
+        # deltas up, reaches those cached bases at depth 56 and must
+        # still count the 9 deltas below them.
+        pack, offsets, base_id, tip_id, _ = chain_pack(depth=MAX_DELTA_DEPTH + 1)
+        mid_id = chain_object_id(9)
+        idx = build_idx([(base_id, offsets[0]), (mid_id, offsets[9]), (tip_id, offsets[-1])])
+        repo = Repository(make_repo_with_pack(tmp_path, pack, idx))
+        assert repo.read_object(mid_id).payload == b"A" * 50 + b"X" * 9
+        with pytest.raises(BadDelta):
+            repo.read_object(tip_id)
+
+    def test_chain_at_bound_resolves_through_cached_bases(self, tmp_path):
+        pack, offsets, base_id, tip_id, content = chain_pack(depth=MAX_DELTA_DEPTH)
+        mid_id = chain_object_id(9)
+        idx = build_idx([(base_id, offsets[0]), (mid_id, offsets[9]), (tip_id, offsets[-1])])
+        repo = Repository(make_repo_with_pack(tmp_path, pack, idx))
+        repo.read_object(mid_id)
+        assert repo.read_object(tip_id).payload == content
+
+    def test_cache_holds_no_more_than_its_bound(self, tmp_path, monkeypatch):
+        # 20 bases of 50 to 69 bytes, 1,190 bytes together.
+        bound = 300
+        monkeypatch.setattr(pack_module, "BASE_CACHE_BYTES", bound)
+        pack, offsets, base_id, tip_id, content = chain_pack(depth=20)
+        idx = build_idx([(base_id, offsets[0]), (tip_id, offsets[-1])])
+        repo = Repository(make_repo_with_pack(tmp_path, pack, idx))
+        assert repo.read_object(tip_id).payload == content
+        cache = repo._packs[0]._bases
+        held = sum(len(payload) for _, payload, _ in cache.values())
+        assert 0 < held <= bound
+        assert held == repo._packs[0]._bases_bytes
+        # The newest bases are the ones kept.
+        assert max(cache) == offsets[-2]
+
+    def test_concurrent_reads_keep_the_cache_within_its_bound(self, tmp_path, monkeypatch):
+        # Readers of different chain levels insert and evict at once.
+        bound = 400
+        monkeypatch.setattr(pack_module, "BASE_CACHE_BYTES", bound)
+        pack, offsets, base_id, tip_id, content = chain_pack(depth=30)
+        levels = range(0, 31, 3)
+        idx = build_idx([(chain_object_id(level), offsets[level]) for level in levels])
+        repo = Repository(make_repo_with_pack(tmp_path, pack, idx))
+        work = [level for level in levels for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                reads = pool.map(
+                    lambda level: repo.read_object(chain_object_id(level)).payload, work, timeout=60
+                )
+                results = list(reads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [b"A" * 50 + b"X" * level for level in work]
+        pack_file = repo._packs[0]
+        held = sum(len(payload) for _, payload, _ in pack_file._bases.values())
+        assert held == pack_file._bases_bytes <= bound

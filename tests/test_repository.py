@@ -8,6 +8,8 @@ import zlib
 
 import pytest
 
+import fixtures
+from gitvouch.authgraph import authenticate_repository
 from gitvouch.gitstore import (
     CorruptObject,
     ObjectId,
@@ -16,6 +18,7 @@ from gitvouch.gitstore import (
     SymrefLoop,
     hash_object,
 )
+from gitvouch.gitstore.pack import PackFile
 
 pytestmark = pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
 
@@ -85,7 +88,8 @@ class TestLooseObjects:
     def test_corrupt_payload_detected(self, git_repo):
         sha = run_git(git_repo, "rev-parse", "HEAD:file1.txt").stdout.decode().strip()
         loose = os.path.join(git_repo, ".git", "objects", sha[:2], sha[2:])
-        raw = zlib.decompress(open(loose, "rb").read())
+        with open(loose, "rb") as fh:
+            raw = zlib.decompress(fh.read())
         mutated = bytearray(raw)
         mutated[-2] ^= 0xFF  # flip a payload byte, keep header legal
         os.chmod(loose, 0o644)
@@ -205,3 +209,52 @@ class TestRoundTripInvariant:
         for sha, kind in all_objects(git_repo):
             obj = repo.read_object(ObjectId.from_hex(sha))
             assert hash_object(obj.kind, obj.payload).hex == sha
+
+
+@pytest.fixture(scope="module")
+def packed_chain(tmp_path_factory):
+    """``fixtures.linear_chain(200)`` exported and packed by ``git gc``,
+    which stores most of its commits as deltas against a few bases."""
+    chain = fixtures.linear_chain(200)
+    path = str(tmp_path_factory.mktemp("chain") / "chain.git")
+    run_git(".", "init", "--bare", "--quiet", "--template=", path)
+    fixtures.export_to_disk(chain.store, path)
+    run_git(path, "-c", "pack.threads=1", "gc", "--quiet")
+    assert not any(len(d) == 2 for d in os.listdir(os.path.join(path, "objects")))
+    return chain, path
+
+
+class TestDeltaBaseCache:
+    def test_shared_and_fresh_repositories_read_the_same_bytes(self, packed_chain):
+        _, path = packed_chain
+        objects = all_objects(path)
+        assert len(objects) > 200
+        shared = Repository(path)
+        for sha, kind in objects:
+            oid = ObjectId.from_hex(sha)
+            via_shared = shared.read_object(oid)
+            via_fresh = Repository(path).read_object(oid)
+            assert via_shared == via_fresh
+            assert via_shared.kind == kind
+
+    def test_cold_run_inflates_about_one_object_per_commit_read(self, packed_chain, monkeypatch):
+        chain, path = packed_chain
+        inflated, commits_read = [], []
+        real_inflate, real_read = PackFile._inflate, Repository.read_object
+
+        def counting_inflate(self, pos, expected):
+            inflated.append(pos)
+            return real_inflate(self, pos, expected)
+
+        def counting_read(self, oid):
+            obj = real_read(self, oid)
+            if obj.kind == "commit":
+                commits_read.append(oid)
+            return obj
+
+        monkeypatch.setattr(PackFile, "_inflate", counting_inflate)
+        monkeypatch.setattr(Repository, "read_object", counting_read)
+        report = authenticate_repository(Repository(path), chain.intro, chain.ids[-1])
+        assert report.checked == 199
+        assert len(commits_read) > 200
+        assert len(inflated) <= 1.05 * len(commits_read)

@@ -38,7 +38,9 @@ from gitvouch.sigverify import (
     verify_detailed,
 )
 
+import crc24_reference
 import fixtures
+from gitvouch.sigverify.armor import _PLAIN_BLOCK_RE, _armored_body, crc24
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -98,6 +100,29 @@ class TestArmor:
         text = armor("SIGNATURE", b"data")
         stripped = "\n".join(l for l in text.splitlines() if not l.startswith("="))
         assert dearmor(stripped) == b"data"
+
+    @given(st.binary(max_size=300), st.data())
+    def test_plain_block_read_as_the_line_reader_reads_it(self, data, draw):
+        text = armor("SIGNATURE", data)
+        # One character replaced may leave the plain shape or not.
+        if draw.draw(st.booleans()):
+            at = draw.draw(st.integers(min_value=0, max_value=len(text) - 1))
+            text = text[:at] + draw.draw(st.sampled_from("=\n\r -A:/")) + text[at + 1 :]
+        plain = _PLAIN_BLOCK_RE.fullmatch(text)
+        if plain is not None:
+            assert _armored_body(text) == (plain[1].replace("\n", ""), plain[2])
+
+    @pytest.mark.parametrize("remainder", [0, 1, 2])
+    @given(data=st.binary(max_size=2048))
+    def test_crc24_matches_byte_at_a_time_reference(self, remainder, data):
+        data = data[: len(data) - (len(data) - remainder) % 3]
+        assert len(data) % 3 == remainder or not data
+        assert crc24(data) == crc24_reference.crc24(data)
+
+    def test_crc24_known_values(self):
+        # RFC 4880 §6.1: the register starts at 0xB704CE.
+        assert crc24(b"") == 0xB704CE
+        assert crc24(b"123456789") == 0x21CF02
 
     def test_split_blocks(self):
         text = armor("PUBLIC KEY BLOCK", b"one") + "\n" + armor("PUBLIC KEY BLOCK", b"two")
@@ -279,6 +304,41 @@ class TestVerify:
         sig = first_signature(rita.sign(b"rsa payload\n"))
         with pytest.raises(UnknownKey):
             verify(sig, b"rsa payload\n", ring)
+
+
+class TestAlgorithmMismatch:
+    """A signature naming a key of another algorithm is a bad signature,
+    not a crash: each check reads the material its own algorithm
+    parses."""
+
+    def test_rsa_signature_naming_ed25519_key(self):
+        alice = fixtures.key("alice")
+        ring = Keyring(load_keys(export_public(alice)))
+        forged = fixtures.claim_algorithm(sign_for_tests(b"payload\n", alice), 1, b"payload\n")
+        sig = first_signature(forged)
+        assert sig.pubkey_algorithm == 1
+        assert sig.issuer_fingerprint == alice.fingerprint
+        with pytest.raises(BadSignature, match="names ed25519 key"):
+            verify_detailed(sig, b"payload\n", ring)
+
+    def test_eddsa_signature_naming_rsa_key(self):
+        rita = fixtures.RsaTestKey()
+        ring = Keyring(load_keys(rita.export_binary()))
+        forged = fixtures.claim_algorithm(rita.sign(b"payload\n"), 22, b"payload\n")
+        sig = first_signature(forged)
+        assert sig.pubkey_algorithm == 22
+        assert sig.issuer_fingerprint == rita.fingerprint
+        with pytest.raises(BadSignature, match="names rsa key"):
+            verify_detailed(sig, b"payload\n", ring)
+
+    def test_oversized_rsa_signature_is_bad_not_a_crash(self):
+        rita = fixtures.RsaTestKey()
+        ring = Keyring(load_keys(rita.export_binary()))
+        sig = first_signature(rita.sign(b"payload\n"))
+        from dataclasses import replace
+
+        with pytest.raises(BadSignature):
+            verify_detailed(replace(sig, material=1 << 4096), b"payload\n", ring)
 
 
 class TestWeakDigestPolicy:
