@@ -13,10 +13,14 @@ commits.
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
+import signal
+import struct
 import tempfile
-from collections.abc import Iterator, Set
+import threading
+from collections.abc import Container, Iterator, Set
 from dataclasses import dataclass, field
 
 from gitvouch import authz
@@ -28,7 +32,7 @@ from gitvouch.sigverify.armor import BadArmor, dearmor
 from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.sigverify.keys import Keyring, load_keys
 from gitvouch.sigverify.packets import SignaturePacket, parse_packets
-from gitvouch.sigverify.verify import VerifiedSignature, verify_detailed
+from gitvouch.sigverify.verify import PROOF_SIZE, VerifiedSignature, verify_detailed
 from gitvouch.statedir import default_state_dir
 
 logger = logging.getLogger(__name__)
@@ -97,6 +101,7 @@ class AuthReport:
     policies_parsed: int
     ancestors: frozenset[ObjectId]
     signers: dict[ObjectId, Fingerprint] = field(default_factory=dict)
+    helper_verified: int = 0
 
 
 class AuthCache:
@@ -316,9 +321,11 @@ def _signature_packet(commit: Commit) -> SignaturePacket:
     raise BadArmor("signature header carries no signature packet")
 
 
-def _verify_commit(commit: Commit, keyring: Keyring) -> VerifiedSignature:
+def _verify_commit(
+    commit: Commit, keyring: Keyring, proofs: Container[bytes] = frozenset()
+) -> VerifiedSignature:
     sig = _signature_packet(commit)
-    return verify_detailed(sig, signed_payload(commit), keyring)
+    return verify_detailed(sig, signed_payload(commit), keyring, proofs=proofs)
 
 
 def authenticate_commit(
@@ -326,15 +333,18 @@ def authenticate_commit(
     commit: Commit,
     keyring: Keyring,
     parent_authorizations: list[tuple[ObjectId, frozenset[Fingerprint]]],
+    *,
+    proofs: Container[bytes] = frozenset(),
 ) -> Fingerprint:
     """Check one commit: valid signature first, then membership of the
     signer in every parent's authorized set. Returns the signer's
-    primary fingerprint.
+    primary fingerprint. ``proofs`` is passed on to
+    :func:`~gitvouch.sigverify.verify.verify_detailed`.
 
     A fingerprint matches if it names the signer's primary key, or — as
     a documented extension — the exact signing subkey.
     """
-    verified = _verify_commit(commit, keyring)
+    verified = _verify_commit(commit, keyring, proofs)
     for parent_id, authorized in parent_authorizations:
         if (
             verified.primary_fingerprint not in authorized
@@ -414,6 +424,112 @@ class _AuthzReader:
         return authorized
 
 
+# Fewest commits left to check for which a helper is forked. Measured
+# on a 2-vCPU VM (CPython 3.11, cryptography 48, a 32 MB process): a
+# helper that does nothing costs 5.7 ms (fork, the caller's copy-on-write
+# faults, kill and reap), the time of 28 Ed25519 verifies at 0.20 ms. A
+# helper proves about half of the commits before the two processes
+# meet, and the two slow each other down on this VM, so runs with and
+# without a helper on linear chains broke even between 48 and 96
+# commits (medians of 80 interleaved runs; 96 commits: 30 -> 27 ms).
+HELPER_MIN_COMMITS = 96
+
+# One record per commit the helper proved: the commit's index in the
+# run's list, then its Ed25519 proof.
+_RECORD = struct.Struct(f">I{PROOF_SIZE}s")
+
+
+class _Proofs(set):
+    """One run's proof records; counts the lookups that found one."""
+
+    hits = 0
+
+    def __contains__(self, proof) -> bool:
+        found = set.__contains__(self, proof)
+        self.hits += found
+        return found
+
+
+def _helper_wanted(left: int) -> bool:
+    return (
+        left >= HELPER_MIN_COMMITS
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _prove(commits: list[Commit], keyring: Keyring, fd: int) -> None:
+    """The helper's whole life: check ``commits`` from the last one
+    backwards and write a record to ``fd`` for each Ed25519 check that
+    passes. It reads no store, logs nothing, and never returns."""
+    try:
+        # The helper ends with the run; a collection would only copy
+        # pages it shares with the caller.
+        gc.disable()
+        for index in range(len(commits) - 1, -1, -1):
+            try:
+                proof = _verify_commit(commits[index], keyring).proof
+            except VouchError:
+                continue
+            if proof is not None:
+                os.write(fd, _RECORD.pack(index, proof))
+    finally:
+        os._exit(0)
+
+
+class _Helper:
+    """A forked process that proves a run's Ed25519 checks from the last
+    commit backwards while the caller checks from the first.
+
+    The caller never waits for it: a record not yet sent, never sent,
+    cut short or garbled only means that the caller makes that check
+    itself. :meth:`stop` kills and reaps the process.
+    """
+
+    def __init__(self, commits: list[Commit], keyring: Keyring) -> None:
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            os.close(read)
+            _prove(commits, keyring, write)
+        os.close(write)
+        os.set_blocking(read, False)
+        self._fd = read
+        self._partial = b""
+        self.reached = len(commits)  # the lowest index proved so far
+
+    def poll(self, proofs: set[bytes]) -> bool:
+        """Add the records sent so far to ``proofs``; False once the
+        helper has closed its end."""
+        try:
+            data = os.read(self._fd, 1 << 16)
+        except BlockingIOError:
+            return True
+        if not data:
+            return False
+        data = self._partial + data
+        whole = len(data) - len(data) % _RECORD.size
+        self._partial = data[whole:]
+        for index, proof in _RECORD.iter_unpack(data[:whole]):
+            proofs.add(proof)
+            self.reached = min(self.reached, index)
+        return True
+
+    def stop(self) -> None:
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        finally:
+            os.close(self._fd)
+
+
 def authenticate_repository(
     store,
     intro: ChannelIntroduction,
@@ -435,6 +551,15 @@ def authenticate_repository(
     records the target and every checked commit proved to descend from
     the introduction, so later runs walk only new commits. The
     introduction's ancestors are trusted and never examined.
+
+    When at least :data:`HELPER_MIN_COMMITS` commits are left for step
+    (3), a second CPU is free and no other thread runs, one forked
+    helper verifies the same commits from the last one backwards and
+    sends back each Ed25519 check that passed. Step (3) still makes
+    every check for every commit in the same order and only skips the
+    public-key operation of a check the helper has already proved, so
+    verdicts and errors are those of a run without it. The helper is
+    killed and reaped before this returns or raises.
     """
     options = options if options is not None else AuthOptions()
     cache_key = options.cache_key or AuthCache.key_for(intro)
@@ -483,15 +608,33 @@ def authenticate_repository(
     reader = _AuthzReader(store, options, known)
     signers: dict[ObjectId, Fingerprint] = {}
     recorded = {target}
-    for commit in commits:
-        cid = commit.id
+    proofs = _Proofs()
+    helper = None
+    if _helper_wanted(len(commits)):
         try:
-            parent_sets = [(p, reader.get(p)) for p in commit.parents]
-            signers[cid] = authenticate_commit(store, commit, keyring, parent_sets)
-        except VouchError as exc:
-            raise exc.annotate(cid.hex)
-        if options.cache is not None and any(p in stop or p in recorded for p in commit.parents):
-            recorded.add(cid)
+            helper = _Helper(commits, keyring)
+        except OSError as exc:
+            logger.debug("no helper process: %s", exc)
+    try:
+        for index, commit in enumerate(commits):
+            # Once the helper has passed this commit, every later one is
+            # proved or failed its check there: it has nothing left to add.
+            if helper is not None and not (helper.poll(proofs) and helper.reached > index):
+                helper.stop()
+                helper = None
+            cid = commit.id
+            try:
+                parent_sets = [(p, reader.get(p)) for p in commit.parents]
+                signers[cid] = authenticate_commit(
+                    store, commit, keyring, parent_sets, proofs=proofs)
+            except VouchError as exc:
+                raise exc.annotate(cid.hex)
+            if options.cache is not None and any(
+                    p in stop or p in recorded for p in commit.parents):
+                recorded.add(cid)
+    finally:
+        if helper is not None:
+            helper.stop()
 
     if options.cache is not None:
         options.cache.write(cache_key, intro, recorded, cached)
@@ -504,4 +647,5 @@ def authenticate_repository(
         policies_parsed=reader.policies_parsed,
         ancestors=ancestors,
         signers=signers,
+        helper_verified=proofs.hits,
     )

@@ -10,6 +10,7 @@ are computed against.
 from __future__ import annotations
 
 import enum
+import fcntl
 import os
 import tempfile
 import time
@@ -331,25 +332,33 @@ def provenance_read(path: str, name: str) -> ProvenanceRecord | None:
 
 def provenance_write(path: str, record: ProvenanceRecord) -> None:
     """Atomically merge one record into the file, keyed by channel name;
-    records for other channels are preserved."""
-    records = [r for r in provenance_read_all(path) if r.name != record.name]
-    records.append(record)
-    forms: list = [Atom("provenance"), [Atom("version"), Atom("0")]]
-    forms.extend(_record_form(r) for r in records)
-    text = print_sexp(forms) + "\n"
+    records for other channels are preserved.
+
+    The read, merge and replace hold an exclusive ``flock`` on
+    ``<path>.lock``, so runs sharing a state directory never write back
+    each other's old records. The lock is a file of its own because
+    replacing the provenance file gives it a new inode.
+    """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".provenance-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+    with open(path + ".lock", "ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        records = [r for r in provenance_read_all(path) if r.name != record.name]
+        records.append(record)
+        forms: list = [Atom("provenance"), [Atom("version"), Atom("0")]]
+        forms.extend(_record_form(r) for r in records)
+        text = print_sexp(forms) + "\n"
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".provenance-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def make_record(

@@ -85,6 +85,8 @@ def _authenticate(
         print(f"stats: commits walked: {report.walked}", file=sys.stderr)
         print(f"stats: cache hits: {report.cache_skipped}", file=sys.stderr)
         print(f"stats: policy files parsed: {report.policies_parsed}", file=sys.stderr)
+        print(f"stats: signatures verified by helper: {report.helper_verified}",
+              file=sys.stderr)
     return report
 
 

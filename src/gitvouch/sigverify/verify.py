@@ -10,7 +10,8 @@ trying every collision candidate.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections.abc import Container
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -52,8 +53,24 @@ _PREHASHED = {HASH_SHA256: hashes.SHA256, HASH_SHA512: hashes.SHA512}
 
 @dataclass(frozen=True)
 class VerifiedSignature:
+    """Who made a valid signature. ``proof`` is the Ed25519 check that
+    passed, as :func:`ed25519_proof` spells it; None for RSA."""
+
     primary_fingerprint: Fingerprint
     key_fingerprint: Fingerprint
+    proof: bytes | None = field(default=None, compare=False, repr=False)
+
+
+# An Ed25519 check as one record: the digest's length, the 32-byte
+# public key, the 64-byte signature, and the digest padded to 64 bytes.
+PROOF_SIZE = 1 + 32 + 64 + 64
+
+
+def ed25519_proof(material: bytes, raw: bytes, digest: bytes) -> bytes:
+    """The record of checking signature ``raw`` over ``digest`` with the
+    Ed25519 public key ``material``. It is :data:`PROOF_SIZE` bytes long
+    only for a 32-byte key, so no other key's check can share it."""
+    return bytes((len(digest),)) + material + raw + digest.ljust(64, b"\0")
 
 
 def _canonical_payload(payload: bytes, sig_type: int) -> bytes:
@@ -83,15 +100,23 @@ def _public_key(key: PublicKey):
     return rsa.RSAPublicNumbers(e, n).public_key()
 
 
-def _check_one(key: PublicKey, sig: SignaturePacket, digest: bytes, keyring: Keyring) -> None:
+def _check_one(
+    key: PublicKey, sig: SignaturePacket, digest: bytes, keyring: Keyring,
+    proofs: Container[bytes],
+) -> bytes | None:
+    """Check ``sig`` with ``key``; return the Ed25519 proof, or None for
+    RSA. An Ed25519 check whose exact proof is in ``proofs`` is not
+    repeated."""
     if key.algorithm == "ed25519":
         r, s = sig.material
         try:
             raw = r.to_bytes(32, "big") + s.to_bytes(32, "big")
-            keyring.public_key(key, _public_key).verify(raw, digest)
+            proof = ed25519_proof(key.material, raw, digest)
+            if not (proofs and proof in proofs):
+                keyring.public_key(key, _public_key).verify(raw, digest)
         except (InvalidSignature, ValueError, OverflowError) as exc:
             raise BadSignature(f"Ed25519 verification failed: {exc}") from exc
-        return
+        return proof
     if key.algorithm == "rsa":
         n, e = key.material
         try:
@@ -104,13 +129,20 @@ def _check_one(key: PublicKey, sig: SignaturePacket, digest: bytes, keyring: Key
             )
         except (InvalidSignature, ValueError, OverflowError) as exc:
             raise BadSignature(f"RSA verification failed: {exc}") from exc
-        return
+        return None
     raise Unsupported(f"cannot verify with {key.algorithm} key")
 
 
 def verify_detailed(
-    sig: SignaturePacket, payload: bytes, keyring: Keyring
+    sig: SignaturePacket, payload: bytes, keyring: Keyring,
+    *, proofs: Container[bytes] = frozenset(),
 ) -> VerifiedSignature:
+    """Verify ``sig`` over ``payload`` with a key of ``keyring``.
+
+    ``proofs`` holds :func:`ed25519_proof` records of Ed25519 checks
+    already known to pass; a check whose exact record is there skips
+    only the public-key operation. Every other check runs as usual.
+    """
     if sig.hash_algorithm in (HASH_MD5, HASH_SHA1):
         name = "MD5" if sig.hash_algorithm == HASH_MD5 else "SHA-1"
         raise WeakDigest(f"{name} signatures are rejected by policy")
@@ -148,10 +180,11 @@ def verify_detailed(
                     f"algorithm {sig.pubkey_algorithm} signature names "
                     f"{key.algorithm} key {key.fingerprint.display()}"
                 )
-            _check_one(key, sig, digest, keyring)
+            proof = _check_one(key, sig, digest, keyring, proofs)
             return VerifiedSignature(
                 primary_fingerprint=key.primary_fingerprint,
                 key_fingerprint=key.fingerprint,
+                proof=proof,
             )
         except BadSignature as exc:
             last = exc

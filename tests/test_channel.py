@@ -1,10 +1,13 @@
 """Channel specs, metadata, fast-forward verdicts, provenance."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitvouch.authgraph import AuthCache, AuthOptions, authenticate_repository
+from gitvouch import channel
 from gitvouch.authz import BadVersion
 from gitvouch.channel import (
     ChannelMetadata,
@@ -266,6 +269,33 @@ class TestProvenance:
         records = {r.name: r for r in provenance_read_all(path)}
         assert records["extra"] == other
         assert records["guix"] == updated
+
+    def test_concurrent_write_between_read_and_replace_kept(self, tmp_path, monkeypatch):
+        # A second writer starts after this one has read the file and
+        # before it replaces it. Without a lock that writer finishes
+        # inside the window and its record is then overwritten.
+        path = str(tmp_path / "provenance")
+        other = ProvenanceRecord(
+            name="extra", url="https://x", branch="main",
+            commit=ObjectId.from_hex("0052c3b0458fba32920a1cfb48b8311429f0d6b5"),
+            timestamp=1,
+        )
+        read_all = channel.provenance_read_all
+        writers = []
+
+        def read_then_race(p):
+            records = read_all(p)
+            if not writers:
+                writers.append(threading.Thread(target=provenance_write, args=(path, other)))
+                writers[0].start()
+                writers[0].join(timeout=0.5)
+            return records
+
+        monkeypatch.setattr(channel, "provenance_read_all", read_then_race)
+        provenance_write(path, self.RECORD)
+        writers[0].join()
+        records = {r.name: r for r in read_all(path)}
+        assert records == {"guix": self.RECORD, "extra": other}
 
     def test_make_record_uses_spec(self):
         spec = parse_channel_spec(FIG6)[0]

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from gitvouch import channel, cli
+from gitvouch import authgraph, channel, cli
 from gitvouch.authgraph import AuthCache
 from gitvouch.gitstore import MemoryStore, ObjectId, graph
 
@@ -89,6 +89,8 @@ class TestAuthenticateCommand:
         assert "stats: cache hits: 0" in err
         # One policy file at the root, one shared by every later commit.
         assert "stats: policy files parsed: 2" in err
+        # Five commits are too few to fork a helper for.
+        assert "stats: signatures verified by helper: 0" in err
 
     def test_warm_cache_second_run(self, fig4_disk, state_dir, capsys):
         args = [
@@ -281,6 +283,24 @@ class TestUpdateCommand:
         assert "stats: commits walked: 1" in err
         assert "stats: cache hits: 1" in err
         assert "stats: policy files parsed: 1" in err
+
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_stats_count_signatures_verified_by_helper(
+        self, tmp_path, state_dir, capsys, monkeypatch, helper
+    ):
+        if helper:
+            monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
+        repo = make_update_repo(tmp_path)
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+        assert cli.main(["update", "--repository", repo["path"], "--channels", channels,
+                         "--state-dir", state_dir, "--stats"]) == 0
+        err = capsys.readouterr().err
+        assert "stats: commits checked: 2" in err
+        (line,) = [x for x in err.splitlines() if "verified by helper" in x]
+        count = int(line.removeprefix("stats: signatures verified by helper: "))
+        assert 0 <= count <= 2 if helper else count == 0
 
     def test_downgrade_refused_exit_two(self, tmp_path, state_dir, capsys):
         repo = make_update_repo(tmp_path)

@@ -5,6 +5,7 @@ checked-in fixture files (gpg --list-packets / --dearmor / --list-keys)
 and frozen here.
 """
 
+import dataclasses
 import hashlib
 import os
 
@@ -40,7 +41,9 @@ from gitvouch.sigverify import (
 
 import crc24_reference
 import fixtures
+from gitvouch.errors import VouchError
 from gitvouch.sigverify.armor import _PLAIN_BLOCK_RE, _armored_body, crc24
+from gitvouch.sigverify.verify import PROOF_SIZE, ed25519_proof
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -230,6 +233,36 @@ class TestLoadKeys:
         assert len(ring) == 3
         alice = keys[0]
         assert ring.candidates_for_key_id(alice.fingerprint.key_id) == [alice]
+
+
+    @given(
+        name=st.sampled_from(["alice.asc", "carol.asc", "rita.asc"]),
+        armored=st.booleans(),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["flip", "insert", "delete", "cut"]),
+                      st.integers(0, 4095), st.integers(0, 255)),
+            min_size=1, max_size=6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_keys_load_or_fail_closed(self, name, armored, edits):
+        # Hostile keyring files: armored or binary, with bytes flipped,
+        # inserted, deleted or cut off, must give keys or a VouchError.
+        data = bytearray(read(name).encode() if armored else dearmor(read(name)))
+        for op, pos, byte in edits:
+            pos %= len(data) + 1
+            if op == "flip" and pos < len(data):
+                data[pos] ^= byte or 1
+            elif op == "insert":
+                data.insert(pos, byte)
+            elif op == "delete":
+                del data[pos:pos + 1 + byte % 4]
+            elif op == "cut":
+                del data[pos:]
+        try:
+            keys = load_keys(bytes(data))
+        except VouchError:
+            return
+        assert keys and all(k.fingerprint for k in keys)
 
 
 class TestVerify:
@@ -478,3 +511,59 @@ class TestMutationDetection:
             assert fpr == key.fingerprint
         except (VouchError, StopIteration):
             pass
+
+
+class TestProofs:
+    """A proof skips the Ed25519 operation for its exact check only."""
+
+    PAYLOAD = b"payload\n"
+
+    def forged(self):
+        key = fixtures.key("alice")
+        ring = Keyring(load_keys(export_public(key)))
+        sig = first_signature(sign_for_tests(self.PAYLOAD, key))
+        proof = verify_detailed(sig, self.PAYLOAD, ring).proof
+        r, s = sig.material
+        forged = dataclasses.replace(sig, material=(r, s ^ 1))
+        return ring, proof, forged
+
+    def test_proof_layout(self):
+        _, proof, forged = self.forged()
+        assert len(proof) == PROOF_SIZE
+        assert proof[0] == 32  # SHA-256
+        material = fixtures.key("alice").public_point
+        assert proof[1:33] == material
+
+    def test_other_check_does_not_skip(self):
+        ring, proof, forged = self.forged()
+        material, digest = proof[1:33], proof[97:97 + proof[0]]
+        r, s = forged.material
+        raw = r.to_bytes(32, "big") + s.to_bytes(32, "big")
+        other_key = fixtures.key("bob").public_point
+        for proofs in (
+            {proof},                                            # the true signature
+            {ed25519_proof(other_key, raw, digest)},            # another key
+            {ed25519_proof(material, raw, bytes(32))},          # another digest
+            {ed25519_proof(material, raw, digest + bytes(32))},  # the digest padded
+            {ed25519_proof(material, raw, digest)[:-1]},        # cut short
+        ):
+            with pytest.raises(BadSignature):
+                verify_detailed(forged, self.PAYLOAD, ring, proofs=proofs)
+        with pytest.raises(BadSignature):
+            verify_detailed(forged, self.PAYLOAD, ring)
+        exact = {ed25519_proof(material, raw, digest)}
+        assert verify_detailed(forged, self.PAYLOAD, ring, proofs=exact).proof in exact
+
+    def test_rsa_always_checked(self):
+        rita = fixtures.RsaTestKey()
+        ring = Keyring(load_keys(rita.export_binary()))
+        sig = first_signature(rita.sign(b"rsa payload\n"))
+        assert verify_detailed(sig, b"rsa payload\n", ring).proof is None
+        forged = dataclasses.replace(sig, material=sig.material ^ 1)
+
+        class Everything:
+            def __contains__(self, proof):
+                return True
+
+        with pytest.raises(BadSignature):
+            verify_detailed(forged, b"rsa payload\n", ring, proofs=Everything())
