@@ -49,7 +49,9 @@ class Unsigned(AuthenticationError):
 
 
 class Unauthorized(AuthenticationError):
-    def __init__(self, message: str, parent: ObjectId) -> None:
+    """``parent`` is None for a commit without parents."""
+
+    def __init__(self, message: str, parent: ObjectId | None) -> None:
         super().__init__(message)
         self.parent = parent
 
@@ -329,17 +331,18 @@ def _verify_commit(
 
 
 def authenticate_commit(
-    store,
     commit: Commit,
     keyring: Keyring,
-    parent_authorizations: list[tuple[ObjectId, frozenset[Fingerprint]]],
+    parent_authorizations: list[tuple[ObjectId | None, frozenset[Fingerprint]]],
     *,
     proofs: Container[bytes] = frozenset(),
 ) -> Fingerprint:
     """Check one commit: valid signature first, then membership of the
     signer in every parent's authorized set. Returns the signer's
     primary fingerprint. ``proofs`` is passed on to
-    :func:`~gitvouch.sigverify.verify.verify_detailed`.
+    :func:`~gitvouch.sigverify.verify.verify_detailed`. A commit without
+    parents is checked against one set whose parent is None: the
+    default authorizations.
 
     A fingerprint matches if it names the signer's primary key, or — as
     a documented extension — the exact signing subkey.
@@ -350,9 +353,9 @@ def authenticate_commit(
             verified.primary_fingerprint not in authorized
             and verified.key_fingerprint not in authorized
         ):
+            by = "the default authorizations" if parent_id is None else f"parent {parent_id}"
             raise Unauthorized(
-                f"signer {verified.primary_fingerprint.display()} is not authorized "
-                f"by parent {parent_id}",
+                f"signer {verified.primary_fingerprint.display()} is not authorized by {by}",
                 parent=parent_id,
             )
     return verified.primary_fingerprint
@@ -485,7 +488,8 @@ class _Helper:
 
     The caller never waits for it: a record not yet sent, never sent,
     cut short or garbled only means that the caller makes that check
-    itself. :meth:`stop` kills and reaps the process.
+    itself. :meth:`stop` kills and reaps the process; so does a start
+    cut short after the fork.
     """
 
     def __init__(self, commits: list[Commit], keyring: Keyring) -> None:
@@ -499,9 +503,13 @@ class _Helper:
         if self.pid == 0:
             os.close(read)
             _prove(commits, keyring, write)
-        os.close(write)
-        os.set_blocking(read, False)
         self._fd = read
+        try:
+            os.close(write)
+            os.set_blocking(read, False)
+        except BaseException:
+            self.stop()
+            raise
         self._partial = b""
         self.reached = len(commits)  # the lowest index proved so far
 
@@ -603,6 +611,10 @@ def authenticate_repository(
             f"not the expected {intro.signer.display()}"
         ).annotate(intro.commit.hex)
 
+    # A root other than the introduction, say of a merged unrelated
+    # history, answers to the default authorizations, as in Guix.
+    historical = options.historical_authorizations
+    defaults = frozenset() if historical is None else authz.authorized_fingerprints(historical)
     known = {c.id: c for c in commits}
     known[intro.commit] = intro_commit
     reader = _AuthzReader(store, options, known)
@@ -610,12 +622,12 @@ def authenticate_repository(
     recorded = {target}
     proofs = _Proofs()
     helper = None
-    if _helper_wanted(len(commits)):
-        try:
-            helper = _Helper(commits, keyring)
-        except OSError as exc:
-            logger.debug("no helper process: %s", exc)
     try:
+        if _helper_wanted(len(commits)):
+            try:
+                helper = _Helper(commits, keyring)
+            except OSError as exc:
+                logger.debug("no helper process: %s", exc)
         for index, commit in enumerate(commits):
             # Once the helper has passed this commit, every later one is
             # proved or failed its check there: it has nothing left to add.
@@ -626,7 +638,7 @@ def authenticate_repository(
             try:
                 parent_sets = [(p, reader.get(p)) for p in commit.parents]
                 signers[cid] = authenticate_commit(
-                    store, commit, keyring, parent_sets, proofs=proofs)
+                    commit, keyring, parent_sets or [(None, defaults)], proofs=proofs)
             except VouchError as exc:
                 raise exc.annotate(cid.hex)
             if options.cache is not None and any(

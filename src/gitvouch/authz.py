@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from gitvouch.errors import VouchError
-from gitvouch.sexp import Atom, SexpSyntaxError, parse_sexp, print_sexp
+from gitvouch.sexp import Atom, SexpSyntaxError, parse_sexp
 from gitvouch.sigverify.fingerprint import Fingerprint
 
 AUTHORIZATIONS_FILE = ".guix-authorizations"
@@ -110,15 +110,3 @@ def parse_authorizations(data: bytes | str) -> AuthorizationList:
 def authorized_fingerprints(alist: AuthorizationList) -> frozenset[Fingerprint]:
     return frozenset(entry.fingerprint for entry in alist.entries)
 
-
-def print_authorizations(alist: AuthorizationList) -> str:
-    """Canonical printer; round-trips through parse_authorizations."""
-    forms: list = [Atom("authorizations"), [Atom("version"), Atom(str(alist.version))]]
-    entry_forms: list = []
-    for entry in alist.entries:
-        form: list = [Atom(entry.fingerprint.display(), quoted=True)]
-        if entry.name is not None:
-            form.append([Atom("name"), Atom(entry.name, quoted=True)])
-        entry_forms.append(form)
-    forms.append(entry_forms)
-    return print_sexp(forms) + "\n"

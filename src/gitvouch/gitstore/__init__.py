@@ -2,7 +2,6 @@
 
 from gitvouch.gitstore.graph import (
     commit_difference,
-    is_ancestor,
     path_entry,
     read_commit,
     read_path_at_commit,
@@ -44,7 +43,6 @@ __all__ = [
     "TreeEntry",
     "commit_difference",
     "hash_object",
-    "is_ancestor",
     "parse_commit",
     "parse_tree",
     "path_entry",

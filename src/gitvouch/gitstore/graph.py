@@ -23,15 +23,6 @@ def read_commit(store, oid: ObjectId) -> Commit:
     return parse_commit(store.read_object(oid), oid)
 
 
-def is_ancestor(store, a: ObjectId, b: ObjectId) -> bool:
-    """True iff ``a`` equals ``b`` or is reachable from ``b`` over parent
-    edges."""
-    store.read_object(a)
-    if a == b:
-        return True
-    return any(ancestor_steps(store, a, b))
-
-
 def ancestor_steps(store, a: ObjectId, b: ObjectId) -> Iterator[bool]:
     """Breadth-first walk from ``b`` looking for a strict ancestor ``a``,
     one commit read per step: yields True and stops when a commit read

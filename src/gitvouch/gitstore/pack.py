@@ -100,9 +100,6 @@ class PackIndex:
             raise CorruptObject(f"{self._path}: offset {value} of {oid} lies outside the pack")
         return value
 
-    def __contains__(self, oid: ObjectId) -> bool:
-        return self.find_offset(oid) is not None
-
 
 class PackFile:
     """One pack and its index.
@@ -121,7 +118,7 @@ class PackFile:
         self._fd = os.open(pack_path, os.O_RDONLY)
         self.index = PackIndex(idx_path, os.fstat(self._fd).st_size)
         header = os.pread(self._fd, 12, 0)
-        if header[:4] != b"PACK" or struct.unpack(">I", header[4:8])[0] != 2:
+        if header[:8] != b"PACK\0\0\0\2":
             raise CorruptObject(f"{pack_path}: not a version-2 pack")
         # Base offset -> (kind, payload, deltas below it), oldest first.
         # Lookups take no lock: a dict lookup is atomic.

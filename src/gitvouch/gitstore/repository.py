@@ -115,15 +115,6 @@ class Repository:
             raise CorruptObject(f"{path}: undecodable loose object: truncated stream")
         return kind, payload
 
-    def __contains__(self, oid: ObjectId) -> bool:
-        try:
-            self._read_raw(oid)
-            return True
-        except ObjectNotFound:
-            return False
-        except CorruptObject:
-            return True
-
     # -- refs -----------------------------------------------------------
 
     def _ref_target(self, name: str):

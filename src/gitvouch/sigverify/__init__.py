@@ -3,7 +3,6 @@
 from gitvouch.sigverify.armor import (
     BadArmor,
     BadChecksum,
-    armor,
     dearmor,
     split_armored_blocks,
 )
@@ -19,13 +18,11 @@ from gitvouch.sigverify.packets import (
     fingerprint_of,
     parse_packets,
 )
-from gitvouch.sigverify.signer import SigningKey, export_public, sign_for_tests
 from gitvouch.sigverify.verify import (
     BadSignature,
     UnknownKey,
     VerifiedSignature,
     WeakDigest,
-    verify,
     verify_detailed,
 )
 
@@ -39,7 +36,6 @@ __all__ = [
     "NoKeyFound",
     "PublicKey",
     "SignaturePacket",
-    "SigningKey",
     "Truncated",
     "UnknownKey",
     "UnknownPacket",
@@ -47,14 +43,10 @@ __all__ = [
     "UserIdPacket",
     "VerifiedSignature",
     "WeakDigest",
-    "armor",
     "dearmor",
-    "export_public",
     "fingerprint_of",
     "load_keys",
     "parse_packets",
-    "sign_for_tests",
     "split_armored_blocks",
-    "verify",
     "verify_detailed",
 ]

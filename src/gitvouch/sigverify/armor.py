@@ -136,18 +136,6 @@ def _armored_body(text: str) -> tuple[str, str | None]:
     return "".join(data_lines), checksum
 
 
-def armor(kind: str, data: bytes) -> str:
-    """Encode ``data`` as an armored block, e.g. kind="SIGNATURE"."""
-    encoded = base64.b64encode(data).decode("ascii")
-    lines = [encoded[i : i + 64] for i in range(0, len(encoded), 64)]
-    crc = base64.b64encode(crc24(data).to_bytes(3, "big")).decode("ascii")
-    return (
-        f"-----BEGIN PGP {kind}-----\n\n"
-        + "\n".join(lines)
-        + f"\n={crc}\n-----END PGP {kind}-----\n"
-    )
-
-
 def split_armored_blocks(text: str) -> list[str]:
     """Split text into individual armored blocks (may be empty)."""
     lines = text.splitlines()

@@ -40,7 +40,6 @@ class PublicKey:
     material: object
     fingerprint: Fingerprint
     primary_fingerprint: Fingerprint
-    packet: KeyPacket
 
     @property
     def is_subkey(self) -> bool:
@@ -90,7 +89,6 @@ def load_keys(data: bytes | str) -> list[PublicKey]:
                 material=packet.material,
                 fingerprint=fpr,
                 primary_fingerprint=owner,
-                packet=packet,
             )
         )
     if not keys:

@@ -191,7 +191,3 @@ def verify_detailed(
     assert last is not None
     raise last
 
-
-def verify(sig: SignaturePacket, payload: bytes, keyring: Keyring) -> Fingerprint:
-    """Verify, returning the primary fingerprint of the signing key."""
-    return verify_detailed(sig, payload, keyring).primary_fingerprint

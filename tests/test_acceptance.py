@@ -33,14 +33,13 @@ from gitvouch.sigverify import (
     SignaturePacket,
     WeakDigest,
     dearmor,
-    export_public,
     load_keys,
     parse_packets,
-    sign_for_tests,
-    verify,
+    verify_detailed,
 )
 
 import fixtures
+from openpgp_writer import export_public, sign_for_tests
 from test_cli import make_update_repo, set_branch, write_channels
 
 HAVE_TOOLS = shutil.which("git") is not None and shutil.which("gpg") is not None
@@ -158,16 +157,16 @@ def test_criterion_05_sha1_policy(capsys):
 
         weak = sig_of(sign_for_tests(b"payload\n", alice, hash_algorithm="sha1"))
         with pytest.raises(WeakDigest):
-            verify(weak, b"payload\n", ring)
+            verify_detailed(weak, b"payload\n", ring)
 
         # rejection happens before issuer resolution: an unknown signer
         # still reports WeakDigest, not UnknownKey
         weak_unknown = sig_of(sign_for_tests(b"payload\n", stranger, hash_algorithm="sha1"))
         with pytest.raises(WeakDigest):
-            verify(weak_unknown, b"payload\n", ring)
+            verify_detailed(weak_unknown, b"payload\n", ring)
 
         strong = sig_of(sign_for_tests(b"payload\n", alice, hash_algorithm="sha256"))
-        assert verify(strong, b"payload\n", ring) == alice.fingerprint
+        assert verify_detailed(strong, b"payload\n", ring).primary_fingerprint == alice.fingerprint
 
 
 def test_criterion_06_cache_semantics(capsys, tmp_path):

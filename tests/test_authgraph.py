@@ -312,6 +312,53 @@ class TestHistoricalMode:
             authenticate_repository(repo.store, repo.intro, repo.ids[-1], options)
 
 
+class TestUnrelatedRoot:
+    """A root other than the introduction, merged into the cone, answers
+    to the default (historical) authorizations, as in Guix's
+    ``commit-authorized-keys``."""
+
+    @staticmethod
+    def merged_root():
+        """Introduction ``a``, then ``b``; an unrelated root ``r`` signed
+        by mallory, who is in the keyring and authorized by nobody,
+        though ``r``'s tree carries ``a``'s policy; and ``m``, a merge
+        of ``b`` and ``r`` signed by alice."""
+        alice, mallory = fixtures.key("alice"), fixtures.key("mallory")
+        store = MemoryStore()
+        fixtures.add_keyring_branch(store, [alice, mallory])
+        files = {".guix-authorizations": fixtures.authz_bytes(alice)}
+        a = store.commit_files(files, message="a\n", sign_with=fixtures.signer(alice))
+        b = store.commit_files(files, [a], message="b\n", sign_with=fixtures.signer(alice))
+        r = store.commit_files(files, message="r\n", sign_with=fixtures.signer(mallory))
+        m = store.commit_files(files, [b, r], message="m\n", sign_with=fixtures.signer(alice))
+        intro = ChannelIntroduction(a, alice.fingerprint)
+        return store, intro, r, m, load_keyring(store)
+
+    def test_root_fails_without_historical_list(self):
+        store, intro, r, m, ring = self.merged_root()
+        with pytest.raises(Unauthorized) as exc:
+            authenticate_repository(store, intro, m)
+        assert exc.value.commit_id == r.hex
+        assert exc.value.parent is None
+        assert not fixtures.brute_force_authentic(store, intro, m, ring)
+
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_root_checked_against_historical_list(self, listed):
+        store, intro, r, m, ring = self.merged_root()
+        names = ["alice", "mallory"] if listed else ["alice"]
+        historical = parse_authorizations(
+            fixtures.authz_bytes(*(fixtures.key(n) for n in names)))
+        options = AuthOptions(historical_authorizations=historical)
+        assert fixtures.brute_force_authentic(store, intro, m, ring, historical) == listed
+        if listed:
+            report = authenticate_repository(store, intro, m, options)
+            assert report.signers[r] == fixtures.key("mallory").fingerprint
+        else:
+            with pytest.raises(Unauthorized) as exc:
+                authenticate_repository(store, intro, m, options)
+            assert exc.value.commit_id == r.hex
+
+
 class TestKeyring:
     def test_loads_all_keys(self):
         fig = fixtures.fig4()
@@ -328,7 +375,7 @@ class TestKeyring:
     def test_non_key_files_skipped_with_warning(self, caplog):
         store = MemoryStore()
         alice = fixtures.key("alice")
-        from gitvouch.sigverify import export_public
+        from openpgp_writer import export_public
 
         cid = store.commit_files(
             {"README": b"not a key\n", "alice.key": export_public(alice).encode()},
@@ -356,7 +403,7 @@ class TestKeyring:
     def test_binary_key_files_accepted(self):
         store = MemoryStore()
         alice = fixtures.key("alice")
-        from gitvouch.sigverify import export_public
+        from openpgp_writer import export_public
 
         cid = store.commit_files(
             {"alice.bin": export_public(alice, armored=False)}, message="keys\n")

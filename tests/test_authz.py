@@ -11,10 +11,11 @@ from gitvouch.authz import (
     BadVersion,
     authorized_fingerprints,
     parse_authorizations,
-    print_authorizations,
 )
 from gitvouch.sexp import SexpSyntaxError
 from gitvouch.sigverify import Fingerprint
+
+from openpgp_writer import print_authorizations
 
 FIG3 = '''(authorizations
  (version 0)                               ;current file format version

@@ -9,12 +9,19 @@ from gitvouch.gitstore import (
     ObjectId,
     ObjectNotFound,
     commit_difference,
-    is_ancestor,
     read_path_at_commit,
 )
+from gitvouch.gitstore.graph import ancestor_steps
 from gitvouch.gitstore.objects import NotACommit
 
 import fixtures
+
+
+def is_ancestor(store, a: ObjectId, b: ObjectId) -> bool:
+    """``a`` is ``b`` or reachable from it, by ``ancestor_steps``; a
+    missing ``a`` raises."""
+    store.read_object(a)
+    return a == b or any(ancestor_steps(store, a, b))
 
 
 def build_dag(parent_choices: list[list[int]]):

@@ -115,7 +115,7 @@ class TestSyntheticExportReadByGit:
         assert result.returncode == 0, result.stderr
 
     def test_git_verifies_our_commit_signature(self, tmp_path):
-        from gitvouch.sigverify import export_public
+        from openpgp_writer import export_public
 
         fig = fixtures.fig4()
         path = fixtures.export_to_disk(fig.store, str(tmp_path / "synth.git"))

@@ -27,20 +27,17 @@ from gitvouch.sigverify import (
     Unsupported,
     UserIdPacket,
     WeakDigest,
-    armor,
     dearmor,
-    export_public,
     fingerprint_of,
     load_keys,
     parse_packets,
-    sign_for_tests,
     split_armored_blocks,
-    verify,
     verify_detailed,
 )
 
 import crc24_reference
 import fixtures
+from openpgp_writer import armor, export_public, sign_for_tests
 from gitvouch.errors import VouchError
 from gitvouch.sigverify.armor import _PLAIN_BLOCK_RE, _armored_body, crc24
 from gitvouch.sigverify.verify import PROOF_SIZE, ed25519_proof
@@ -270,14 +267,15 @@ class TestVerify:
         ring = Keyring(load_keys(read("alice.asc")))
         sig = first_signature(read("payload.sig"))
         assert sig.hash_algorithm == 8  # gpg: digest algo 8 (SHA-256)
-        fpr = verify(sig, read("payload.bin", binary=True), ring)
+        fpr = verify_detailed(sig, read("payload.bin", binary=True), ring).primary_fingerprint
         assert fpr.hex.upper() == ALICE_FPR
 
     def test_gpg_rsa_sha512_signature(self):
         ring = Keyring(load_keys(read("rita.asc")))
         sig = first_signature(read("payload-rsa.sig"))
         assert sig.hash_algorithm == 10  # gpg: digest algo 10 (SHA-512)
-        assert verify(sig, read("payload.bin", binary=True), ring).hex.upper() == RITA_FPR
+        fpr = verify_detailed(sig, read("payload.bin", binary=True), ring).primary_fingerprint
+        assert fpr.hex.upper() == RITA_FPR
 
     def test_flipped_payload_byte(self):
         ring = Keyring(load_keys(read("alice.asc")))
@@ -285,19 +283,19 @@ class TestVerify:
         payload = bytearray(read("payload.bin", binary=True))
         payload[0] ^= 0x01
         with pytest.raises(BadSignature):
-            verify(sig, bytes(payload), ring)
+            verify_detailed(sig, bytes(payload), ring)
 
     def test_unknown_key(self):
         ring = Keyring(load_keys(read("carol.asc")))
         sig = first_signature(read("payload.sig"))
         with pytest.raises(UnknownKey):
-            verify(sig, read("payload.bin", binary=True), ring)
+            verify_detailed(sig, read("payload.bin", binary=True), ring)
 
     def test_round_trip_with_test_signer(self):
         key = fixtures.key("alice")
         ring = Keyring(load_keys(export_public(key)))
         sig = first_signature(sign_for_tests(b"payload\n", key))
-        assert verify(sig, b"payload\n", ring) == key.fingerprint
+        assert verify_detailed(sig, b"payload\n", ring).primary_fingerprint == key.fingerprint
 
     @given(st.binary(min_size=1, max_size=200))
     @settings(max_examples=20, deadline=None)
@@ -305,30 +303,31 @@ class TestVerify:
         key = fixtures.key("alice")
         ring = Keyring(load_keys(export_public(key)))
         sig = first_signature(sign_for_tests(payload, key))
-        assert verify(sig, payload, ring) == key.fingerprint
+        assert verify_detailed(sig, payload, ring).primary_fingerprint == key.fingerprint
 
     def test_sha512_signature(self):
         key = fixtures.key("alice")
         ring = Keyring(load_keys(export_public(key)))
         sig = first_signature(sign_for_tests(b"data\n", key, hash_algorithm="sha512"))
         assert sig.hash_algorithm == 10
-        assert verify(sig, b"data\n", ring) == key.fingerprint
+        assert verify_detailed(sig, b"data\n", ring).primary_fingerprint == key.fingerprint
 
     def test_text_mode_crlf_canonicalization(self):
         key = fixtures.key("alice")
         ring = Keyring(load_keys(export_public(key)))
         sig = first_signature(sign_for_tests(b"line one\nline two\n", key, text_mode=True))
         assert sig.sig_type == 0x01
-        assert verify(sig, b"line one\r\nline two\r\n", ring) == key.fingerprint
-        assert verify(sig, b"line one\nline two\n", ring) == key.fingerprint
+        for payload in (b"line one\r\nline two\r\n", b"line one\nline two\n"):
+            assert verify_detailed(sig, payload, ring).primary_fingerprint == key.fingerprint
 
     def test_constructed_rsa_round_trip(self):
         rita = fixtures.RsaTestKey()
         ring = Keyring(load_keys(rita.export_binary()))
         sig = first_signature(rita.sign(b"rsa payload\n"))
-        assert verify(sig, b"rsa payload\n", ring) == rita.fingerprint
+        assert verify_detailed(sig, b"rsa payload\n", ring).primary_fingerprint == rita.fingerprint
         sig512 = first_signature(rita.sign(b"rsa payload\n", hash_name="sha512"))
-        assert verify(sig512, b"rsa payload\n", ring) == rita.fingerprint
+        result = verify_detailed(sig512, b"rsa payload\n", ring)
+        assert result.primary_fingerprint == rita.fingerprint
 
     def test_wrong_keyring_for_rsa(self):
         rita = fixtures.RsaTestKey()
@@ -336,7 +335,7 @@ class TestVerify:
         ring = Keyring(load_keys(other.export_binary()))
         sig = first_signature(rita.sign(b"rsa payload\n"))
         with pytest.raises(UnknownKey):
-            verify(sig, b"rsa payload\n", ring)
+            verify_detailed(sig, b"rsa payload\n", ring)
 
 
 class TestAlgorithmMismatch:
@@ -380,7 +379,7 @@ class TestWeakDigestPolicy:
         ring = Keyring(load_keys(export_public(key)))
         sig = first_signature(sign_for_tests(b"data\n", key, hash_algorithm="sha1"))
         with pytest.raises(WeakDigest):
-            verify(sig, b"data\n", ring)
+            verify_detailed(sig, b"data\n", ring)
 
     def test_rejected_before_any_verification(self):
         # issuer is not even in the keyring: WeakDigest must still win,
@@ -389,13 +388,13 @@ class TestWeakDigestPolicy:
         ring = Keyring(load_keys(export_public(fixtures.key("alice"))))
         sig = first_signature(sign_for_tests(b"data\n", key, hash_algorithm="sha1"))
         with pytest.raises(WeakDigest):
-            verify(sig, b"data\n", ring)
+            verify_detailed(sig, b"data\n", ring)
 
     def test_sha256_equivalent_passes(self):
         key = fixtures.key("alice")
         ring = Keyring(load_keys(export_public(key)))
         sig = first_signature(sign_for_tests(b"data\n", key, hash_algorithm="sha256"))
-        assert verify(sig, b"data\n", ring) == key.fingerprint
+        assert verify_detailed(sig, b"data\n", ring).primary_fingerprint == key.fingerprint
 
 
 class TestIssuerResolution:
@@ -407,7 +406,7 @@ class TestIssuerResolution:
         )
         assert sig.issuer_fingerprint is None
         assert sig.issuer_key_id == key.fingerprint.key_id
-        assert verify(sig, b"payload\n", ring) == key.fingerprint
+        assert verify_detailed(sig, b"payload\n", ring).primary_fingerprint == key.fingerprint
 
     def test_key_id_collisions_try_every_candidate(self, monkeypatch):
         # force a universal key-id collision, then check that lookup by
@@ -421,7 +420,8 @@ class TestIssuerResolution:
         sig = first_signature(
             sign_for_tests(b"payload\n", signer_key, issuer_fingerprint=False)
         )
-        assert verify(sig, b"payload\n", ring) == signer_key.fingerprint
+        result = verify_detailed(sig, b"payload\n", ring)
+        assert result.primary_fingerprint == signer_key.fingerprint
 
     def test_no_issuer_information_at_all_is_unknown(self):
         key = fixtures.key("alice")
@@ -434,7 +434,7 @@ class TestIssuerResolution:
 
         stripped = replace(sig, unhashed_subpackets=())
         with pytest.raises(UnknownKey):
-            verify(stripped, b"payload\n", ring)
+            verify_detailed(stripped, b"payload\n", ring)
 
 
 class TestSubkeySignature:
@@ -454,7 +454,7 @@ class TestSubkeySignature:
         result = verify_detailed(sig, b"payload\n", ring)
         assert result.key_fingerprint == sub.fingerprint
         assert result.primary_fingerprint == primary.fingerprint
-        assert verify(sig, b"payload\n", ring) == primary.fingerprint
+        assert verify_detailed(sig, b"payload\n", ring).primary_fingerprint == primary.fingerprint
 
 
 class TestIgnoredOpenPGPFeatures:
@@ -470,7 +470,7 @@ class TestIgnoredOpenPGPFeatures:
         assert keys[0].fingerprint.hex.upper() == self.EXPIRED_FPR
         ring = Keyring(keys)
         sig = first_signature(read("expired.sig"))
-        fpr = verify(sig, read("payload.bin", binary=True), ring)
+        fpr = verify_detailed(sig, read("payload.bin", binary=True), ring).primary_fingerprint
         assert fpr.hex.upper() == self.EXPIRED_FPR
 
     def test_revoked_key_still_verifies(self):
@@ -480,7 +480,7 @@ class TestIgnoredOpenPGPFeatures:
         assert keys[0].fingerprint.hex.upper() == self.REVOKED_FPR
         ring = Keyring(keys)
         sig = first_signature(read("revoked.sig"))
-        fpr = verify(sig, read("payload.bin", binary=True), ring)
+        fpr = verify_detailed(sig, read("payload.bin", binary=True), ring).primary_fingerprint
         assert fpr.hex.upper() == self.REVOKED_FPR
 
     def test_signature_creation_time_parsed_but_unused(self):
@@ -506,7 +506,7 @@ class TestMutationDetection:
             sig = next(
                 p for p in parse_packets(bytes(binary)) if isinstance(p, SignaturePacket)
             )
-            fpr = verify(sig, payload, ring)
+            fpr = verify_detailed(sig, payload, ring).primary_fingerprint
             # the only acceptable "success" is the genuine signer
             assert fpr == key.fingerprint
         except (VouchError, StopIteration):

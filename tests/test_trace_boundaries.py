@@ -14,7 +14,10 @@ import fixtures
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
 # Removed on purpose; listed in spans.py so older checkouts still trace.
-KNOWN_REMOVED = ["gitvouch.gitstore.graph.commit_difference_with_stats"]
+KNOWN_REMOVED = [
+    "gitvouch.gitstore.graph.is_ancestor",
+    "gitvouch.gitstore.graph.commit_difference_with_stats",
+]
 
 
 def load_spans():

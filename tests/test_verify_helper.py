@@ -236,6 +236,22 @@ class TestHelperSafety:
         assert open_fds() == before
         assert_no_child()
 
+    def test_nothing_left_after_interrupted_start(self, monkeypatch, forks):
+        # The helper's start is cut short after the fork.
+        chain = fixtures.linear_chain(200)
+
+        def interrupted(fd, blocking):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "set_blocking", interrupted)
+        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
+        before = open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            authenticate_repository(chain.store, chain.intro, chain.ids[-1])
+        assert len(forks) == 1
+        assert open_fds() == before
+        assert_no_child()
+
     def test_no_fork_while_another_thread_runs(self, monkeypatch, forks):
         chain = fixtures.linear_chain(200)
         monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
