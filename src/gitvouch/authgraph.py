@@ -28,7 +28,7 @@ from gitvouch.errors import VouchError
 from gitvouch.gitstore import graph
 from gitvouch.gitstore.objects import Commit, ObjectId, parse_tree, signed_payload
 from gitvouch.sexp import SexpSyntaxError
-from gitvouch.sigverify.armor import BadArmor, dearmor
+from gitvouch.sigverify.armor import SIGNATURE, BadArmor, dearmor
 from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.sigverify.keys import Keyring, load_keys
 from gitvouch.sigverify.packets import SignaturePacket, parse_packets
@@ -316,7 +316,7 @@ def load_keyring(store, keyring_ref: str = DEFAULT_KEYRING_REF) -> Keyring:
 def _signature_packet(commit: Commit) -> SignaturePacket:
     if commit.signature is None:
         raise Unsigned("commit is not signed")
-    packets = parse_packets(dearmor(commit.signature))
+    packets = parse_packets(dearmor(commit.signature, SIGNATURE))
     for packet in packets:
         if isinstance(packet, SignaturePacket):
             return packet
@@ -428,14 +428,18 @@ class _AuthzReader:
 
 
 # Fewest commits left to check for which a helper is forked. Measured
-# on a 2-vCPU VM (CPython 3.11, cryptography 48, a 32 MB process): a
-# helper that does nothing costs 5.7 ms (fork, the caller's copy-on-write
-# faults, kill and reap), the time of 28 Ed25519 verifies at 0.20 ms. A
-# helper proves about half of the commits before the two processes
-# meet, and the two slow each other down on this VM, so runs with and
-# without a helper on linear chains broke even between 48 and 96
-# commits (medians of 80 interleaved runs; 96 commits: 30 -> 27 ms).
-HELPER_MIN_COMMITS = 96
+# on a 2-vCPU VM (CPython 3.11, libsodium 1.0.18, a 29 MB process): a
+# helper that does nothing costs 4.0-5.3 ms (fork, the caller's
+# copy-on-write faults, kill and reap), the time of 50-70 Ed25519
+# verifies at 0.08 ms. A helper proves about half of the commits before
+# the two processes meet, and the two slow each other down on this VM,
+# so runs with and without a helper on linear chains broke even between
+# 96 and 128 commits (four sets of 60-80 interleaved runs, 48-384
+# commits). At 128 commits the helper's median was lower in three sets
+# (15.3 -> 15.0, 20.7 -> 18.2, 21.4 -> 19.6 ms); at 96 it lost two of
+# three. In the fourth set the second CPU was busy, and the helper lost
+# at every size.
+HELPER_MIN_COMMITS = 128
 
 # One record per commit the helper proved: the commit's index in the
 # run's list, then its Ed25519 proof.

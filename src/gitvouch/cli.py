@@ -24,6 +24,7 @@ from gitvouch.authgraph import (
 from gitvouch.errors import VouchError
 from gitvouch.gitstore import Repository
 from gitvouch.gitstore.objects import ObjectId, ObjectNotFound
+from gitvouch.sigverify import ed25519
 from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.statedir import default_state_dir
 
@@ -87,6 +88,7 @@ def _authenticate(
         print(f"stats: policy files parsed: {report.policies_parsed}", file=sys.stderr)
         print(f"stats: signatures verified by helper: {report.helper_verified}",
               file=sys.stderr)
+        print(f"stats: ed25519 engine: {ed25519.engine().name}", file=sys.stderr)
     return report
 
 

@@ -11,8 +11,12 @@ from gitvouch.errors import VouchError
 _CRC24_INIT = 0xB704CE
 _CRC24_POLY = 0x1864CFB
 
-_BEGIN_RE = re.compile(r"^-----BEGIN PGP ([A-Z0-9 ]+)-----\s*$")
-_END_RE = re.compile(r"^-----END PGP ([A-Z0-9 ]+)-----\s*$")
+# The labels read (RFC 9580 §6.2): a detached signature, and a key file.
+SIGNATURE = "SIGNATURE"
+PUBLIC_KEY_BLOCK = "PUBLIC KEY BLOCK"
+
+_BEGIN_RE = re.compile(r"^-----BEGIN PGP ([A-Z0-9 ]+)-----[ \t]*$")
+_END_RE = re.compile(r"^-----END PGP ([A-Z0-9 ]+)-----[ \t]*$")
 
 
 class BadArmor(VouchError):
@@ -66,26 +70,29 @@ def crc24(data: bytes) -> int:
 
 # The usual shape of a block, as git and gpg write it: no armor headers,
 # one blank line, non-empty base64 lines, a checksum line, and "\n" line
-# ends throughout. ``dearmor`` reads a block of this shape in one match
-# and gives it the same reading as its line-by-line path.
+# ends throughout. ``dearmor`` reads a block of this shape whose BEGIN
+# label is the END label (group 3) in one match, and gives it the same
+# reading as its line-by-line path.
 _PLAIN_BLOCK_RE = re.compile(
-    r"-----BEGIN PGP [A-Z0-9 ]+-----\n\n"
+    r"-----BEGIN PGP (?:SIGNATURE|PUBLIC KEY BLOCK)-----\n\n"
     r"((?:[A-Za-z0-9+/][A-Za-z0-9+/=]*\n)*)"
     r"(?:=([A-Za-z0-9+/]{4})\n)?"
-    r"-----END PGP [A-Z0-9 ]+-----\n?"
+    r"-----END PGP (SIGNATURE|PUBLIC KEY BLOCK)-----\n?"
 )
 
 
-def dearmor(text: str | bytes) -> bytes:
+def dearmor(text: str | bytes, label: str | None = None) -> bytes:
     """Decode a single armored block; verifies the CRC-24 trailer when
-    present."""
+    present. The block's label must be ``label``, :data:`SIGNATURE` or
+    :data:`PUBLIC_KEY_BLOCK`, or either of them when ``label`` is None,
+    and its END line must repeat it."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", "replace")
     plain = _PLAIN_BLOCK_RE.fullmatch(text)
-    if plain is not None:
+    if plain is not None and text.startswith(plain[3], 15) and label in (None, plain[3]):
         encoded, checksum = plain[1].replace("\n", ""), plain[2]
     else:
-        encoded, checksum = _armored_body(text)
+        encoded, checksum = _armored_body(text, label)
     try:
         data = base64.b64decode(encoded, validate=True)
     except (binascii.Error, ValueError) as exc:
@@ -102,18 +109,33 @@ def dearmor(text: str | bytes) -> bytes:
     return data
 
 
-def _armored_body(text: str) -> tuple[str, str | None]:
+def _lines(text: str) -> list[str]:
+    """``text`` split at LF and CRLF only; ``str.splitlines`` also splits
+    at a form feed and other separators."""
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
+def _armored_body(text: str, label: str | None = None) -> tuple[str, str | None]:
     """The base64 payload of the first armored block in ``text``, lines
     joined, and its checksum's four characters, if it has a checksum
-    line."""
-    lines = text.splitlines()
+    line. ``label`` is as for :func:`dearmor`."""
+    lines = _lines(text)
 
-    start = next((i for i, l in enumerate(lines) if _BEGIN_RE.match(l)), None)
-    if start is None:
+    for start, line in enumerate(lines):
+        begin = _BEGIN_RE.match(line)
+        if begin is not None:
+            break
+    else:
         raise BadArmor("missing BEGIN PGP marker")
+    labels = (SIGNATURE, PUBLIC_KEY_BLOCK) if label is None else (label,)
+    if begin[1] not in labels:
+        expected = " or ".join(f"PGP {name}" for name in labels)
+        raise BadArmor(f"armor label PGP {begin[1]} is not {expected}")
     end = next((i for i in range(start + 1, len(lines)) if _END_RE.match(lines[i])), None)
     if end is None:
         raise BadArmor("missing END PGP marker")
+    if _END_RE.match(lines[end])[1] != begin[1]:
+        raise BadArmor(f"END line does not repeat the label PGP {begin[1]}")
 
     body = lines[start + 1 : end]
     # Armor headers (Key: value) run until the first blank line; minimal
@@ -138,7 +160,7 @@ def _armored_body(text: str) -> tuple[str, str | None]:
 
 def split_armored_blocks(text: str) -> list[str]:
     """Split text into individual armored blocks (may be empty)."""
-    lines = text.splitlines()
+    lines = _lines(text)
     blocks = []
     current: list[str] | None = None
     for line in lines:

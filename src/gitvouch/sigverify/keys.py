@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from gitvouch.errors import VouchError
-from gitvouch.sigverify.armor import dearmor, split_armored_blocks
+from gitvouch.sigverify.armor import PUBLIC_KEY_BLOCK, dearmor, split_armored_blocks
 from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.sigverify.packets import (
     ALGO_EDDSA,
@@ -57,11 +57,13 @@ def _algorithm_name(algo: int) -> str:
 def load_keys(data: bytes | str) -> list[PublicKey]:
     """Load primary keys and subkeys from binary packets or armored text.
 
-    Multiple concatenated armored blocks are accepted. User-id and
-    signature packets are skipped entirely.
+    Multiple concatenated armored blocks are accepted, each labelled
+    ``PGP PUBLIC KEY BLOCK``. User-id and signature packets are skipped
+    entirely.
     """
     if isinstance(data, str):
-        binary = b"".join(dearmor(block) for block in split_armored_blocks(data))
+        binary = b"".join(
+            dearmor(block, PUBLIC_KEY_BLOCK) for block in split_armored_blocks(data))
         if not binary:
             raise NoKeyFound("no armored blocks in text input")
     elif data.lstrip()[:15].startswith(b"-----BEGIN PGP "):
@@ -121,7 +123,7 @@ class Keyring:
         return self._by_fingerprint.get(fingerprint)
 
     def public_key(self, key: PublicKey, build: Callable[[PublicKey], object]) -> object:
-        """``build(key)``, built once per key of this keyring: the
+        """``build(key)``, built once per key of this keyring: the RSA
         verifier's ready-to-use public key object."""
         public = self._public_keys.get(key.fingerprint.raw)
         if public is None:

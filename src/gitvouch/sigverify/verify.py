@@ -13,12 +13,8 @@ import hashlib
 from collections.abc import Container
 from dataclasses import dataclass, field
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import padding, rsa, utils
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-
 from gitvouch.errors import VouchError
+from gitvouch.sigverify import ed25519
 from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.sigverify.keys import ALGORITHM_NAMES, Keyring, PublicKey
 from gitvouch.sigverify.packets import (
@@ -48,7 +44,6 @@ class BadSignature(VouchError):
 
 
 _DIGESTS = {HASH_SHA256: hashlib.sha256, HASH_SHA512: hashlib.sha512}
-_PREHASHED = {HASH_SHA256: hashes.SHA256, HASH_SHA512: hashes.SHA512}
 
 
 @dataclass(frozen=True)
@@ -92,10 +87,10 @@ def _candidates(sig: SignaturePacket, keyring: Keyring) -> list[PublicKey]:
     return []
 
 
-def _public_key(key: PublicKey):
-    """The ``cryptography`` public key for ``key``."""
-    if key.algorithm == "ed25519":
-        return Ed25519PublicKey.from_public_bytes(key.material)
+def _rsa_public_key(key: PublicKey):
+    """The ``cryptography`` public key for RSA ``key``."""
+    from cryptography.hazmat.primitives.asymmetric import rsa
+
     n, e = key.material
     return rsa.RSAPublicNumbers(e, n).public_key()
 
@@ -105,27 +100,33 @@ def _check_one(
     proofs: Container[bytes],
 ) -> bytes | None:
     """Check ``sig`` with ``key``; return the Ed25519 proof, or None for
-    RSA. An Ed25519 check whose exact proof is in ``proofs`` is not
-    repeated."""
+    RSA. An Ed25519 check must pass :func:`ed25519.refusal` first; then
+    one whose exact proof is in ``proofs`` is not repeated."""
     if key.algorithm == "ed25519":
         r, s = sig.material
         try:
             raw = r.to_bytes(32, "big") + s.to_bytes(32, "big")
-            proof = ed25519_proof(key.material, raw, digest)
-            if not (proofs and proof in proofs):
-                keyring.public_key(key, _public_key).verify(raw, digest)
-        except (InvalidSignature, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise BadSignature(f"Ed25519 verification failed: {exc}") from exc
+        refused = ed25519.refusal(key.material, raw)
+        if refused is not None:
+            raise BadSignature(f"Ed25519 verification failed: {refused}")
+        proof = ed25519_proof(key.material, raw, digest)
+        if not (proofs and proof in proofs) and not ed25519.engine().verify(
+                key.material, raw, digest):
+            raise BadSignature("Ed25519 verification failed: invalid signature")
         return proof
     if key.algorithm == "rsa":
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import padding, utils
+
+        prehashed = hashes.SHA256() if sig.hash_algorithm == HASH_SHA256 else hashes.SHA512()
         n, e = key.material
         try:
             sig_bytes = sig.material.to_bytes((n.bit_length() + 7) // 8, "big")
-            keyring.public_key(key, _public_key).verify(
-                sig_bytes,
-                digest,
-                padding.PKCS1v15(),
-                utils.Prehashed(_PREHASHED[sig.hash_algorithm]()),
+            keyring.public_key(key, _rsa_public_key).verify(
+                sig_bytes, digest, padding.PKCS1v15(), utils.Prehashed(prehashed)
             )
         except (InvalidSignature, ValueError, OverflowError) as exc:
             raise BadSignature(f"RSA verification failed: {exc}") from exc

@@ -7,6 +7,7 @@ import pytest
 from gitvouch import authgraph, channel, cli
 from gitvouch.authgraph import AuthCache
 from gitvouch.gitstore import MemoryStore, ObjectId, graph
+from gitvouch.sigverify import ed25519
 
 import fixtures
 
@@ -91,6 +92,7 @@ class TestAuthenticateCommand:
         assert "stats: policy files parsed: 2" in err
         # Five commits are too few to fork a helper for.
         assert "stats: signatures verified by helper: 0" in err
+        assert f"stats: ed25519 engine: {ed25519.engine().name}" in err
 
     def test_warm_cache_second_run(self, fig4_disk, state_dir, capsys):
         args = [

@@ -7,7 +7,10 @@ and frozen here.
 
 import dataclasses
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +42,14 @@ import crc24_reference
 import fixtures
 from openpgp_writer import armor, export_public, sign_for_tests
 from gitvouch.errors import VouchError
-from gitvouch.sigverify.armor import _PLAIN_BLOCK_RE, _armored_body, crc24
+from gitvouch.sigverify import ed25519
+from gitvouch.sigverify.armor import (
+    PUBLIC_KEY_BLOCK,
+    SIGNATURE,
+    _PLAIN_BLOCK_RE,
+    _armored_body,
+    crc24,
+)
 from gitvouch.sigverify.verify import PROOF_SIZE, ed25519_proof
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -123,6 +133,36 @@ class TestArmor:
         # RFC 4880 §6.1: the register starts at 0xB704CE.
         assert crc24(b"") == 0xB704CE
         assert crc24(b"123456789") == 0x21CF02
+
+    # Each was accepted before labels were checked and lines split only
+    # at LF and CRLF; gpg rejects each.
+    @pytest.mark.parametrize("old, new", [
+        ("BEGIN PGP SIGNATURE", "BEGIN PGP MESSAGE"),
+        ("BEGIN PGP SIGNATURE", "BEGIN PGP SIUNATURE"),
+        ("END PGP SIGNATURE", "END PGP SIUNATURE"),
+        ("END PGP SIGNATURE", "END PGP PUBLIC KEY BLOCK"),
+        ("SIGNATURE-----\n\n", "SIGNATURE-----\f\n"),
+    ])
+    def test_framing_gpg_rejects_is_bad_armor(self, old, new):
+        text = armor("SIGNATURE", b"some signature data here")
+        assert dearmor(text, SIGNATURE) == b"some signature data here"
+        mutated = text.replace(old, new, 1)
+        assert mutated != text
+        for label in (SIGNATURE, None):
+            with pytest.raises(BadArmor):
+                dearmor(mutated, label)
+
+    def test_label_must_be_the_one_asked_for(self):
+        key_block = armor("PUBLIC KEY BLOCK", b"key")
+        assert dearmor(key_block) == dearmor(key_block, PUBLIC_KEY_BLOCK) == b"key"
+        with pytest.raises(BadArmor, match="is not PGP SIGNATURE"):
+            dearmor(key_block, SIGNATURE)
+        with pytest.raises(BadArmor, match="is not PGP PUBLIC KEY BLOCK"):
+            dearmor(armor("SIGNATURE", b"sig"), PUBLIC_KEY_BLOCK)
+
+    def test_crlf_line_ends_read_as_lf(self):
+        text = armor("SIGNATURE", b"some signature data here")
+        assert dearmor(text.replace("\n", "\r\n"), SIGNATURE) == b"some signature data here"
 
     def test_split_blocks(self):
         text = armor("PUBLIC KEY BLOCK", b"one") + "\n" + armor("PUBLIC KEY BLOCK", b"two")
@@ -567,3 +607,241 @@ class TestProofs:
 
         with pytest.raises(BadSignature):
             verify_detailed(forged, b"rsa payload\n", ring, proofs=Everything())
+
+
+# -- Ed25519 engines ----------------------------------------------------------
+
+SODIUM = ed25519.libsodium()
+needs_libsodium = pytest.mark.skipif(SODIUM is None, reason="libsodium does not load")
+
+
+@pytest.fixture(params=["libsodium", "cryptography"])
+def ed25519_engine(request, monkeypatch):
+    """Run the test with each engine in turn, behind the shared rule."""
+    chosen = SODIUM if request.param == "libsodium" else ed25519.CRYPTOGRAPHY
+    if chosen is None:
+        pytest.skip("libsodium does not load")
+    monkeypatch.setattr(ed25519, "engine", lambda: chosen)
+    return chosen
+
+
+@pytest.mark.usefixtures("ed25519_engine")
+class TestVerifyEachEngine(TestVerify):
+    pass
+
+
+@pytest.mark.usefixtures("ed25519_engine")
+class TestIssuerResolutionEachEngine(TestIssuerResolution):
+    pass
+
+
+@pytest.mark.usefixtures("ed25519_engine")
+class TestSubkeySignatureEachEngine(TestSubkeySignature):
+    pass
+
+
+@pytest.mark.usefixtures("ed25519_engine")
+class TestIgnoredOpenPGPFeaturesEachEngine(TestIgnoredOpenPGPFeatures):
+    pass
+
+
+@pytest.mark.usefixtures("ed25519_engine")
+class TestMutationDetectionEachEngine(TestMutationDetection):
+    pass
+
+
+@pytest.mark.usefixtures("ed25519_engine")
+class TestProofsEachEngine(TestProofs):
+    pass
+
+
+_P = 2**255 - 19
+_L = 2**252 + 27742317777372353535851937790883648493
+SMALL_ORDER = [
+    (y | sign << 255).to_bytes(32, "little")
+    for y in sorted(ed25519.SMALL_ORDER_Y) for sign in (0, 1)
+]
+IDENTITY = (1).to_bytes(32, "little")
+
+
+@pytest.mark.usefixtures("ed25519_engine")
+class TestStrictRule:
+    PAYLOAD = b"payload\n"
+
+    def signed(self):
+        key = fixtures.key("alice")
+        public = load_keys(export_public(key))[0]
+        sig = first_signature(sign_for_tests(self.PAYLOAD, key))
+        return public, sig
+
+    def check(self, public, sig, material, raw):
+        """Verify the 64-byte signature ``raw`` with key ``material``."""
+        key = dataclasses.replace(public, material=material)
+        forged = dataclasses.replace(
+            sig, material=(int.from_bytes(raw[:32], "big"), int.from_bytes(raw[32:], "big")))
+        return verify_detailed(forged, self.PAYLOAD, Keyring([key]))
+
+    def test_identity_key_forgery_rejected(self):
+        # A = 01 00…00 with signature A‖0³² holds for any digest under
+        # the cofactorless equation; cryptography alone accepts it.
+        public, sig = self.signed()
+        with pytest.raises(BadSignature, match="public key has small order"):
+            self.check(public, sig, IDENTITY, IDENTITY + bytes(32))
+
+    def test_s_plus_l_rejected(self):
+        public, sig = self.signed()
+        r, s = sig.material
+        high = int.from_bytes(s.to_bytes(32, "big"), "little") + _L
+        raw = r.to_bytes(32, "big") + high.to_bytes(32, "little")
+        with pytest.raises(BadSignature, match="S is not below the group order"):
+            self.check(public, sig, public.material, raw)
+
+    def test_rule_applies_before_a_proof(self):
+        public, sig = self.signed()
+        ring = Keyring([dataclasses.replace(public, material=IDENTITY)])
+        forged = dataclasses.replace(sig, material=(int.from_bytes(IDENTITY, "big"), 0))
+        digest = hashlib.sha256(self.PAYLOAD + forged.trailer()).digest()
+        proofs = {ed25519_proof(IDENTITY, IDENTITY + bytes(32), digest)}
+        with pytest.raises(BadSignature, match="small order"):
+            verify_detailed(forged, self.PAYLOAD, ring, proofs=proofs)
+
+
+def test_non_canonical_keys_refused():
+    # Such a key is refused before its point is read; neither engine can
+    # show the clause, since no one knows the secret of a point y < 19.
+    r = fixtures.key("alice").public_point
+    for y in range(_P, 2**255):
+        for sign in (0, 1):
+            key = (y | sign << 255).to_bytes(32, "little")
+            assert ed25519.refusal(key, r + bytes(32)) == "public key is not canonical"
+
+
+def _mutations():
+    """(kind, value) pairs that each target one clause of the rule, or
+    flip one bit of the key, the signature or the digest."""
+    return st.one_of(
+        st.just(("none", None)),
+        st.tuples(st.sampled_from(["flip key", "flip sig", "flip digest"]), st.integers(0, 511)),
+        st.tuples(st.sampled_from(["small A", "small R", "identity forgery"]),
+                  st.sampled_from(SMALL_ORDER)),
+        st.tuples(st.just("noncanonical A"),
+                  st.integers(_P, 2**255 - 1).flatmap(
+                      lambda y: st.sampled_from([y, y | 1 << 255]))),
+        st.tuples(st.just("big S"), st.integers(_L, 2**256 - 1)),
+        st.tuples(st.just("S + L"), st.none()),
+    )
+
+
+def _mutate(kind, value, public: bytes, sig: bytes, digest: bytes):
+    if kind in ("flip key", "flip sig", "flip digest"):
+        target = {"flip key": public, "flip sig": sig, "flip digest": digest}[kind]
+        if target:
+            changed = bytearray(target)
+            changed[value // 8 % len(changed)] ^= 1 << value % 8
+            target = bytes(changed)
+        return (target if kind == "flip key" else public,
+                target if kind == "flip sig" else sig,
+                target if kind == "flip digest" else digest)
+    if kind == "small A":
+        return value, sig, digest
+    if kind == "small R":
+        return public, value + sig[32:], digest
+    if kind == "identity forgery":
+        return value, value + bytes(32), digest
+    if kind == "noncanonical A":
+        return value.to_bytes(32, "little"), sig, digest
+    if kind == "big S":
+        return public, sig[:32] + value.to_bytes(32, "little"), digest
+    if kind == "S + L":
+        s = int.from_bytes(sig[32:], "little") + _L
+        return public, sig[:32] + s.to_bytes(32, "little"), digest
+    return public, sig, digest
+
+
+@needs_libsodium
+class TestEnginesAgree:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.binary(min_size=32, max_size=32), digest=st.binary(max_size=64),
+           mutation=_mutations())
+    def test_same_verdict_behind_the_rule(self, seed, digest, mutation):
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+        private = Ed25519PrivateKey.from_private_bytes(seed)
+        public, sig, digest = _mutate(*mutation, private.public_key().public_bytes_raw(),
+                                      private.sign(digest), digest)
+        allowed = ed25519.refusal(public, sig) is None
+        by_sodium = SODIUM.verify(public, sig, digest)
+        by_cryptography = ed25519.CRYPTOGRAPHY.verify(public, sig, digest)
+        assert (allowed and by_sodium) == (allowed and by_cryptography)
+        assert allowed or not by_sodium
+        if mutation[0] == "none":
+            assert allowed and by_sodium
+
+    def test_every_small_order_point_refused_as_key_and_as_r(self):
+        key = fixtures.key("alice").public_point
+        for point in SMALL_ORDER:
+            assert ed25519.refusal(point, bytes(64)) is not None
+            assert ed25519.refusal(key, point + bytes(32)) == "R has small order"
+            assert not SODIUM.verify(point, point + bytes(32), b"digest")
+
+
+_CHILD = """
+import dataclasses, json, os, sys
+{prelude}
+import gitvouch.cli
+imported = sorted(m for m in sys.modules if m.split(".")[0] == "cryptography")
+from gitvouch.sigverify import (
+    Keyring, SignaturePacket, dearmor, load_keys, parse_packets, verify_detailed)
+from gitvouch.sigverify import ed25519
+data = sys.argv[1]
+read = lambda name: open(os.path.join(data, name), "rb").read()
+ring = Keyring(load_keys(read("alice.asc")))
+sig = next(p for p in parse_packets(dearmor(read("payload.sig")))
+           if isinstance(p, SignaturePacket))
+payload = read("payload.bin")
+signer = verify_detailed(sig, payload, ring).primary_fingerprint.hex
+r, s = sig.material
+try:
+    verify_detailed(dataclasses.replace(sig, material=(r, s ^ 1)), payload, ring)
+    flipped = "accepted"
+except Exception as exc:
+    flipped = f"{{type(exc).__name__}}: {{exc}}"
+print(json.dumps({{
+    "imported": imported,
+    "after": sorted(m for m in sys.modules if m.split(".")[0] == "cryptography"),
+    "engine": ed25519.engine().name,
+    "signer": signer.upper(),
+    "flipped": flipped,
+}}))
+"""
+
+
+def _run_child(prelude: str = "") -> dict:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD.format(prelude=prelude), DATA],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
+class TestEngineChoice:
+    def test_cli_import_leaves_cryptography_unloaded(self):
+        seen = _run_child()
+        assert seen["imported"] == []
+        assert seen["signer"] == ALICE_FPR
+        assert seen["flipped"] == "BadSignature: Ed25519 verification failed: invalid signature"
+        if SODIUM is not None:
+            assert seen["engine"] == SODIUM.name
+            assert seen["after"] == []
+
+    def test_fallback_when_the_library_does_not_load(self):
+        seen = _run_child(
+            "import ctypes\n"
+            "def no_library(*args, **kwargs):\n"
+            "    raise OSError('no library')\n"
+            "ctypes.CDLL = no_library\n")
+        assert seen["engine"] == "cryptography"
+        assert seen["signer"] == ALICE_FPR
+        assert seen["flipped"] == "BadSignature: Ed25519 verification failed: invalid signature"
