@@ -49,11 +49,22 @@ class Unsigned(AuthenticationError):
 
 
 class Unauthorized(AuthenticationError):
-    """``parent`` is None for a commit without parents."""
+    """``parent`` is None for a commit without parents. ``authorized``
+    holds the fingerprints the parent authorized, and ``policy`` the id
+    of the policy blob they were read from: None for the default or
+    historical list."""
 
-    def __init__(self, message: str, parent: ObjectId | None) -> None:
+    def __init__(
+        self,
+        message: str,
+        parent: ObjectId | None,
+        authorized: frozenset[Fingerprint],
+        policy: ObjectId | None,
+    ) -> None:
         super().__init__(message)
         self.parent = parent
+        self.authorized = authorized
+        self.policy = policy
 
 
 class MissingAuthorizations(AuthenticationError):
@@ -333,30 +344,38 @@ def _verify_commit(
 def authenticate_commit(
     commit: Commit,
     keyring: Keyring,
-    parent_authorizations: list[tuple[ObjectId | None, frozenset[Fingerprint]]],
+    parent_authorizations: list[
+        tuple[ObjectId | None, ObjectId | None, frozenset[Fingerprint]]
+    ],
     *,
     proofs: Container[bytes] = frozenset(),
 ) -> Fingerprint:
     """Check one commit: valid signature first, then membership of the
     signer in every parent's authorized set. Returns the signer's
-    primary fingerprint. ``proofs`` is passed on to
-    :func:`~gitvouch.sigverify.verify.verify_detailed`. A commit without
-    parents is checked against one set whose parent is None: the
-    default authorizations.
+    primary fingerprint. ``parent_authorizations`` holds, for each
+    parent, its id, the id of its policy blob (None for the historical
+    list) and the fingerprints authorized there. ``proofs`` is passed on
+    to :func:`~gitvouch.sigverify.verify.verify_detailed`. A commit
+    without parents is checked against one set whose parent is None:
+    the default authorizations.
 
     A fingerprint matches if it names the signer's primary key, or — as
     a documented extension — the exact signing subkey.
     """
     verified = _verify_commit(commit, keyring, proofs)
-    for parent_id, authorized in parent_authorizations:
+    for parent_id, policy, authorized in parent_authorizations:
         if (
             verified.primary_fingerprint not in authorized
             and verified.key_fingerprint not in authorized
         ):
             by = "the default authorizations" if parent_id is None else f"parent {parent_id}"
+            source = "historical authorizations" if policy is None else f"policy blob {policy}"
             raise Unauthorized(
-                f"signer {verified.primary_fingerprint.display()} is not authorized by {by}",
+                f"signer {verified.primary_fingerprint.display()} is not authorized by {by} "
+                f"({len(authorized)} key(s) listed by {source})",
                 parent=parent_id,
+                authorized=authorized,
+                policy=policy,
             )
     return verified.primary_fingerprint
 
@@ -367,18 +386,20 @@ def parent_authorizations(
     """Authorized fingerprints as of ``parent``.
 
     When the parent carries no authorization file, historical mode
-    substitutes the static list; otherwise that is fatal. A malformed
-    policy file anywhere in history is always fatal, never skipped.
+    substitutes the static list, unless one of the parent's own parents
+    has the file: like Guix, a commit that removes the file is refused.
+    Without historical mode a missing file is fatal. A malformed policy
+    file anywhere in history is always fatal, never skipped.
     """
-    return _AuthzReader(store, options).get(parent)
+    return _AuthzReader(store, options).get(parent)[1]
 
 
 class _AuthzReader:
-    """Per-run memo of authorized fingerprints, by tree and by policy
-    blob id.
+    """Per-run memo of policy files: the policy blob's id by tree, and
+    the authorized fingerprints by policy blob id.
 
     ``commits`` holds commits the run has already parsed, keyed by id;
-    any other parent is read once. Memoizing by id is sound because
+    any other commit is read once. Memoizing by id is sound because
     every read re-hashes the object against its id, so each distinct
     tree is searched, and each distinct policy file read and parsed,
     once per run. An entry that is absent, names a tree, or names an
@@ -391,40 +412,60 @@ class _AuthzReader:
         self.store = store
         self.options = options
         self._commits = commits if commits is not None else {}
-        self._by_tree: dict[ObjectId, frozenset[Fingerprint]] = {}
+        self._by_tree: dict[ObjectId, ObjectId | None] = {}
         self._by_blob: dict[ObjectId, frozenset[Fingerprint]] = {}
 
     @property
     def policies_parsed(self) -> int:
         return len(self._by_blob)
 
-    def get(self, parent: ObjectId) -> frozenset[Fingerprint]:
-        commit = self._commits.get(parent)
-        if commit is None:
-            commit = self._commits[parent] = graph.read_commit(self.store, parent)
-        authorized = self._by_tree.get(commit.tree)
-        if authorized is None:
-            authorized = self._by_tree[commit.tree] = self._read(parent, commit.tree)
-        return authorized
-
-    def _read(self, parent: ObjectId, tree: ObjectId) -> frozenset[Fingerprint]:
-        blob_id = graph.path_entry(self.store, tree, authz.AUTHORIZATIONS_FILE)
-        if blob_id in self._by_blob:
-            return self._by_blob[blob_id]
-        blob = self.store.read_object(blob_id) if blob_id is not None else None
-        if blob is None or blob.kind != "blob":
-            if self.options.historical_authorizations is not None:
-                return authz.authorized_fingerprints(self.options.historical_authorizations)
+    def get(self, parent: ObjectId) -> tuple[ObjectId | None, frozenset[Fingerprint]]:
+        """The id of ``parent``'s policy blob and the fingerprints it
+        authorizes; the id is None for the historical list."""
+        commit = self._commit(parent)
+        blob_id = self._policy(parent, commit.tree)
+        if blob_id is not None:
+            return blob_id, self._by_blob[blob_id]
+        # Guix's assert-parents-lack-authorizations.
+        for grandparent in commit.parents:
+            if self._policy(grandparent, self._commit(grandparent).tree) is not None:
+                raise MissingAuthorizations(
+                    f"commit {parent} removes {authz.AUTHORIZATIONS_FILE}, "
+                    f"which its parent {grandparent} has"
+                ).annotate(parent.hex)
+        if self.options.historical_authorizations is None:
             raise MissingAuthorizations(
                 f"commit {parent} lacks {authz.AUTHORIZATIONS_FILE} "
                 "(use historical authorizations for pre-policy history)"
             ).annotate(parent.hex)
-        try:
-            authorized = authz.authorized_fingerprints(authz.parse_authorizations(blob.payload))
-        except (SexpSyntaxError, authz.BadVersion, authz.BadFingerprint) as exc:
-            raise exc.annotate(parent.hex)
-        self._by_blob[blob_id] = authorized
-        return authorized
+        return None, authz.authorized_fingerprints(self.options.historical_authorizations)
+
+    def _commit(self, oid: ObjectId) -> Commit:
+        commit = self._commits.get(oid)
+        if commit is None:
+            commit = self._commits[oid] = graph.read_commit(self.store, oid)
+        return commit
+
+    def _policy(self, commit_id: ObjectId, tree: ObjectId) -> ObjectId | None:
+        """The id of the policy blob in ``tree``, the tree of
+        ``commit_id``, or None when it is missing. A blob is parsed the
+        first time it is found, and a malformed one is blamed on
+        ``commit_id``."""
+        if tree in self._by_tree:
+            return self._by_tree[tree]
+        blob_id = graph.path_entry(self.store, tree, authz.AUTHORIZATIONS_FILE)
+        if blob_id is not None and blob_id not in self._by_blob:
+            blob = self.store.read_object(blob_id)
+            if blob.kind != "blob":
+                blob_id = None
+            else:
+                try:
+                    self._by_blob[blob_id] = authz.authorized_fingerprints(
+                        authz.parse_authorizations(blob.payload))
+                except (SexpSyntaxError, authz.BadVersion, authz.BadFingerprint) as exc:
+                    raise exc.annotate(commit_id.hex)
+        self._by_tree[tree] = blob_id
+        return blob_id
 
 
 # Fewest commits left to check for which a helper is forked. Measured
@@ -640,9 +681,9 @@ def authenticate_repository(
                 helper = None
             cid = commit.id
             try:
-                parent_sets = [(p, reader.get(p)) for p in commit.parents]
+                parent_sets = [(p, *reader.get(p)) for p in commit.parents]
                 signers[cid] = authenticate_commit(
-                    commit, keyring, parent_sets or [(None, defaults)], proofs=proofs)
+                    commit, keyring, parent_sets or [(None, None, defaults)], proofs=proofs)
             except VouchError as exc:
                 raise exc.annotate(cid.hex)
             if options.cache is not None and any(

@@ -182,21 +182,23 @@ class Commit:
     gpgsig_span: tuple[int, int] | None = field(repr=False)
 
 
-# A commit as git writes it without extra headers: tree, parents,
-# author, committer and at most a gpgsig header, with no continuation
-# lines but the signature's, then the blank line. ``parse_commit``
-# reads this shape in one match; ``_parse_headers`` reads any shape and
-# gives the same result for this one.
-_TYPICAL_HEAD_RE = re.compile(
+# The header block of a commit, through the empty line that ends it:
+# ``tree``, then ``parent`` lines, then ``author`` and ``committer``,
+# then any headers but ``tree`` and ``parent``, at most one of them
+# ``gpgsig`` (group 3). A header is ``<name> <value>`` where the name
+# holds no space; a line that starts with a space continues the header
+# before it, and a header line never starts with one, so a match takes
+# time linear in the payload. Only ``tree`` and ``parent`` may not
+# continue.
+_OTHER = rb"(?!tree |parent |gpgsig )[^ \n]+ [^\n]*\n(?: [^\n]*\n)*"
+_HEAD_RE = re.compile(
     rb"tree ([0-9a-fA-F]{40})\n"
     rb"((?:parent [0-9a-fA-F]{40}\n)*)"
-    rb"author [^\n]*\n"
-    rb"committer [^\n]*\n"
-    rb"(gpgsig [^\n]*(?:\n [^\n]*)*\n)?"
-    rb"\n"
+    rb"author [^\n]*\n(?: [^\n]*\n)*"
+    rb"committer [^\n]*\n(?: [^\n]*\n)*"
+    rb"(?:%s)*(?:(gpgsig [^\n]*\n(?: [^\n]*\n)*)(?:%s)*)?"
+    rb"\n" % (_OTHER, _OTHER)
 )
-# The end of a header: a newline that no continuation line follows.
-_HEADER_END_RE = re.compile(rb"\n(?! )")
 
 
 def parse_commit(obj: RawObject, oid: ObjectId | None = None) -> Commit:
@@ -211,100 +213,27 @@ def parse_commit(obj: RawObject, oid: ObjectId | None = None) -> Commit:
     if obj.kind != "commit":
         raise NotACommit(f"expected a commit, got {obj.kind}")
     payload = obj.payload
-    typical = _TYPICAL_HEAD_RE.match(payload)
-    if typical is not None:
-        tree = ObjectId(unhexlify(typical[1]))
-        lines = typical[2]
-        parents = tuple(
-            ObjectId(unhexlify(lines[i + 7 : i + 47])) for i in range(0, len(lines), 48)
-        )
-        span = typical.span(3) if typical[3] is not None else None
-    else:
-        tree, parents, span = _parse_headers(payload)
+    head = _HEAD_RE.match(payload)
+    if head is None:
+        raise MalformedCommit("headers are not tree, parents, author, committer, "
+                              "then others with at most one gpgsig, then an empty line")
     signature = None
-    if span is not None:
+    span = None
+    if head[3] is not None:
         # Unfolded: a line holds no newline, so every "\n " starts a
         # continuation line.
-        start, stop = span
+        start, stop = span = head.span(3)
         value = payload[start + len(b"gpgsig ") : stop - 1].replace(b"\n ", b"\n")
         signature = value.decode("utf-8", "replace")
 
     return Commit(
         id=oid if oid is not None else hash_object("commit", payload),
-        tree=tree,
-        parents=parents,
+        tree=ObjectId(unhexlify(head[1])),
+        parents=tuple([ObjectId(unhexlify(line[7:])) for line in head[2].splitlines()]),
         signature=signature,
         raw_payload=payload,
         gpgsig_span=span,
     )
-
-
-def _parse_headers(
-    payload: bytes,
-) -> tuple[ObjectId, tuple[ObjectId, ...], tuple[int, int] | None]:
-    """The tree, the parents and the ``gpgsig`` header's span of a commit
-    payload of any shape, every header checked for shape and order."""
-    n = len(payload)
-    names: list[bytes] = []
-    # Value spans of the tree and parent headers, continuation lines
-    # included; the other headers are only checked.
-    ids: list[tuple[int, int]] = []
-    sig_spans: list[tuple[int, int]] = []
-    pos = 0
-    while True:
-        if pos >= n:
-            raise MalformedCommit("no blank line separating headers from message")
-        if payload[pos] == 0x0A:
-            break
-        end = _HEADER_END_RE.search(payload, pos)
-        if end is None:
-            if payload.find(b"\n", pos) < 0:
-                raise MalformedCommit("header line without newline")
-            raise MalformedCommit("continuation line without newline")
-        end = end.end()
-        space = payload.find(b" ", pos, end)
-        if space == pos:
-            raise MalformedCommit("continuation line without a preceding header")
-        name = payload[pos:space]
-        if space < 0 or b"\n" in name:
-            line = payload[pos : payload.find(b"\n", pos)]
-            raise MalformedCommit(f"malformed header line {line!r}")
-        names.append(name)
-        if name == b"tree" or name == b"parent":
-            ids.append((space + 1, end - 1))
-        elif name == b"gpgsig":
-            sig_spans.append((pos, end))
-        pos = end
-
-    if not names or names[0] != b"tree":
-        raise MalformedCommit("first header must be 'tree'")
-    if names.count(b"tree") != 1:
-        raise MalformedCommit("multiple 'tree' headers")
-    idx = 1
-    while idx < len(names) and names[idx] == b"parent":
-        idx += 1
-    if b"parent" in names[idx:]:
-        raise MalformedCommit("'parent' header out of order")
-    if idx >= len(names) or names[idx] != b"author":
-        raise MalformedCommit("missing 'author' header")
-    if idx + 1 >= len(names) or names[idx + 1] != b"committer":
-        raise MalformedCommit("missing 'committer' header")
-
-    def oid_of(start: int, stop: int, what: str) -> ObjectId:
-        value = payload[start:stop]
-        if len(value) == 40:
-            try:
-                return ObjectId(unhexlify(value))
-            except ValueError:
-                pass
-        value = value.replace(b"\n ", b"\n")
-        raise MalformedCommit(f"bad {what} id {value!r}")
-
-    tree = oid_of(*ids[0], "tree")
-    parents = tuple(oid_of(start, stop, "parent") for start, stop in ids[1:])
-    if len(sig_spans) > 1:
-        raise MalformedCommit("multiple 'gpgsig' headers")
-    return tree, parents, sig_spans[0] if sig_spans else None
 
 
 def signed_payload(commit: Commit) -> bytes:

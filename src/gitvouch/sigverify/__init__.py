@@ -1,11 +1,6 @@
 """OpenPGP subset: key loading and detached-signature verification."""
 
-from gitvouch.sigverify.armor import (
-    BadArmor,
-    BadChecksum,
-    dearmor,
-    split_armored_blocks,
-)
+from gitvouch.sigverify.armor import BadArmor, BadChecksum, dearmor
 from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.sigverify.keys import Keyring, NoKeyFound, PublicKey, load_keys
 from gitvouch.sigverify.packets import (
@@ -47,6 +42,5 @@ __all__ = [
     "fingerprint_of",
     "load_keys",
     "parse_packets",
-    "split_armored_blocks",
     "verify_detailed",
 ]

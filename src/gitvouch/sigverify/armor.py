@@ -15,9 +15,6 @@ _CRC24_POLY = 0x1864CFB
 SIGNATURE = "SIGNATURE"
 PUBLIC_KEY_BLOCK = "PUBLIC KEY BLOCK"
 
-_BEGIN_RE = re.compile(r"^-----BEGIN PGP ([A-Z0-9 ]+)-----[ \t]*$")
-_END_RE = re.compile(r"^-----END PGP ([A-Z0-9 ]+)-----[ \t]*$")
-
 
 class BadArmor(VouchError):
     pass
@@ -68,107 +65,58 @@ def crc24(data: bytes) -> int:
     return crc
 
 
-# The usual shape of a block, as git and gpg write it: no armor headers,
-# one blank line, non-empty base64 lines, a checksum line, and "\n" line
-# ends throughout. ``dearmor`` reads a block of this shape whose BEGIN
-# label is the END label (group 3) in one match, and gives it the same
-# reading as its line-by-line path.
-_PLAIN_BLOCK_RE = re.compile(
-    r"-----BEGIN PGP (?:SIGNATURE|PUBLIC KEY BLOCK)-----\n\n"
-    r"((?:[A-Za-z0-9+/][A-Za-z0-9+/=]*\n)*)"
-    r"(?:=([A-Za-z0-9+/]{4})\n)?"
-    r"-----END PGP (SIGNATURE|PUBLIC KEY BLOCK)-----\n?"
+# One armored block (RFC 9580 §6.2): a BEGIN line, ``Key: Value`` armor
+# headers, one empty line, base64 lines, an optional checksum line, and
+# an END line that repeats the label. Lines end in LF or CRLF; the BEGIN
+# and END lines may end in spaces and tabs. Wherever two kinds of line
+# may come next they start with different characters, so a match takes
+# time linear in the text. A BEGIN line always matches: ``body`` is None
+# when no block follows it.
+_BLOCK_RE = re.compile(
+    r"^-----BEGIN PGP (?P<label>[A-Z0-9 ]+)-----[ \t]*\r?$"
+    r"(?:\n"
+    r"(?:[!-9;-~]+: [^\r\n]*\r?\n)*"
+    r"\r?\n"
+    r"(?P<body>(?:[A-Za-z0-9+/][A-Za-z0-9+/=]*\r?\n)*)"
+    r"(?:=(?P<checksum>[A-Za-z0-9+/]{4})\r?\n)?"
+    r"-----END PGP (?P=label)-----[ \t]*\r?$)?",
+    re.MULTILINE,
 )
 
 
-def dearmor(text: str | bytes, label: str | None = None) -> bytes:
-    """Decode a single armored block; verifies the CRC-24 trailer when
-    present. The block's label must be ``label``, :data:`SIGNATURE` or
-    :data:`PUBLIC_KEY_BLOCK`, or either of them when ``label`` is None,
-    and its END line must repeat it."""
+def dearmor(text: str | bytes, label: str) -> bytes:
+    """The data of the first armored block in ``text``; text before its
+    BEGIN line is ignored. The block must carry ``label``,
+    :data:`SIGNATURE` or :data:`PUBLIC_KEY_BLOCK`, and its CRC-24 must
+    match when it has a checksum line."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", "replace")
-    plain = _PLAIN_BLOCK_RE.fullmatch(text)
-    if plain is not None and text.startswith(plain[3], 15) and label in (None, plain[3]):
-        encoded, checksum = plain[1].replace("\n", ""), plain[2]
-    else:
-        encoded, checksum = _armored_body(text, label)
+    block = _BLOCK_RE.search(text)
+    if block is None:
+        raise BadArmor("missing BEGIN PGP marker")
+    return _decode(block, label)
+
+
+def dearmor_all(text: str, label: str) -> list[bytes]:
+    """The data of every armored block in ``text``, each read as by
+    :func:`dearmor`."""
+    return [_decode(block, label) for block in _BLOCK_RE.finditer(text)]
+
+
+def _decode(block: re.Match, label: str) -> bytes:
+    if block["label"] != label:
+        raise BadArmor(f"armor label PGP {block['label']} is not PGP {label}")
+    body = block["body"]
+    if body is None:
+        raise BadArmor(f"no armored block after BEGIN PGP {label}")
     try:
-        data = base64.b64decode(encoded, validate=True)
+        data = base64.b64decode(body.replace("\r", "").replace("\n", ""), validate=True)
     except (binascii.Error, ValueError) as exc:
         raise BadArmor(f"invalid base64 payload: {exc}") from exc
-
+    checksum = block["checksum"]
     if checksum is not None:
-        try:
-            stated = int.from_bytes(base64.b64decode(checksum, validate=True), "big")
-        except (binascii.Error, ValueError) as exc:
-            raise BadArmor(f"invalid checksum encoding: {exc}") from exc
+        stated = int.from_bytes(binascii.a2b_base64(checksum), "big")
         actual = crc24(data)
         if stated != actual:
             raise BadChecksum(f"CRC-24 mismatch: stated {stated:06x}, actual {actual:06x}")
     return data
-
-
-def _lines(text: str) -> list[str]:
-    """``text`` split at LF and CRLF only; ``str.splitlines`` also splits
-    at a form feed and other separators."""
-    return [line.removesuffix("\r") for line in text.split("\n")]
-
-
-def _armored_body(text: str, label: str | None = None) -> tuple[str, str | None]:
-    """The base64 payload of the first armored block in ``text``, lines
-    joined, and its checksum's four characters, if it has a checksum
-    line. ``label`` is as for :func:`dearmor`."""
-    lines = _lines(text)
-
-    for start, line in enumerate(lines):
-        begin = _BEGIN_RE.match(line)
-        if begin is not None:
-            break
-    else:
-        raise BadArmor("missing BEGIN PGP marker")
-    labels = (SIGNATURE, PUBLIC_KEY_BLOCK) if label is None else (label,)
-    if begin[1] not in labels:
-        expected = " or ".join(f"PGP {name}" for name in labels)
-        raise BadArmor(f"armor label PGP {begin[1]} is not {expected}")
-    end = next((i for i in range(start + 1, len(lines)) if _END_RE.match(lines[i])), None)
-    if end is None:
-        raise BadArmor("missing END PGP marker")
-    if _END_RE.match(lines[end])[1] != begin[1]:
-        raise BadArmor(f"END line does not repeat the label PGP {begin[1]}")
-
-    body = lines[start + 1 : end]
-    # Armor headers (Key: value) run until the first blank line; minimal
-    # armors omit both the headers and the blank line.
-    if "" in body:
-        body = body[body.index("") + 1 :]
-    else:
-        body = [l for l in body if ": " not in l]
-
-    checksum = None
-    data_lines = []
-    for line in body:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("="):
-            checksum = line[1:5]
-        else:
-            data_lines.append(line)
-    return "".join(data_lines), checksum
-
-
-def split_armored_blocks(text: str) -> list[str]:
-    """Split text into individual armored blocks (may be empty)."""
-    lines = _lines(text)
-    blocks = []
-    current: list[str] | None = None
-    for line in lines:
-        if _BEGIN_RE.match(line):
-            current = [line]
-        elif current is not None:
-            current.append(line)
-            if _END_RE.match(line):
-                blocks.append("\n".join(current) + "\n")
-                current = None
-    return blocks

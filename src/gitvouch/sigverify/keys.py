@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from gitvouch.errors import VouchError
-from gitvouch.sigverify.armor import PUBLIC_KEY_BLOCK, dearmor, split_armored_blocks
+from gitvouch.sigverify.armor import PUBLIC_KEY_BLOCK, dearmor_all
 from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.sigverify.packets import (
     ALGO_EDDSA,
@@ -62,8 +62,7 @@ def load_keys(data: bytes | str) -> list[PublicKey]:
     entirely.
     """
     if isinstance(data, str):
-        binary = b"".join(
-            dearmor(block, PUBLIC_KEY_BLOCK) for block in split_armored_blocks(data))
+        binary = b"".join(dearmor_all(data, PUBLIC_KEY_BLOCK))
         if not binary:
             raise NoKeyFound("no armored blocks in text input")
     elif data.lstrip()[:15].startswith(b"-----BEGIN PGP "):

@@ -242,6 +242,7 @@ class RandomRepo:
     intro: ChannelIntroduction
     target: ObjectId
     violations: dict[ObjectId, str] = field(default_factory=dict)
+    historical: AuthorizationList | None = None
 
     @property
     def expect_ok(self) -> bool:
@@ -250,8 +251,12 @@ class RandomRepo:
 
 def random_repository(rng: random.Random, max_commits: int = 40) -> RandomRepo:
     """A random DAG with random authorization evolution and, sometimes,
-    injected violations. The anchor key stays authorized everywhere so
-    valid merge commits always have an eligible signer."""
+    injected violations, unrelated roots merged in, commits that delete
+    the authorization file, and a historical authorization list. The
+    anchor key stays authorized everywhere so valid merge commits always
+    have an eligible signer."""
+    from gitvouch.authz import parse_authorizations
+
     names = ["alice", "bob", "charlie", "dave", "eve"]
     pool = [key(n) for n in names[: rng.randint(2, 5)]]
     outsider = key("mallory")  # in the keyring, never authorized
@@ -260,10 +265,14 @@ def random_repository(rng: random.Random, max_commits: int = 40) -> RandomRepo:
     store = MemoryStore()
     add_keyring_branch(store, pool + [outsider])
     anchor = pool[0]
+    historical_keys = rng.sample(pool + [outsider], rng.randint(0, 2))
+    historical = (parse_authorizations(authz_bytes(*historical_keys))
+                  if rng.random() < 0.6 else None)
 
     n = rng.randint(2, max_commits)
     commits: list[ObjectId] = []
     policies: dict[ObjectId, list[SigningKey]] = {}
+    removed: set[ObjectId] = set()  # commits that deleted the file
     violations: dict[ObjectId, str] = {}
 
     current_policy = [anchor] + [k for k in pool[1:] if rng.random() < 0.7]
@@ -278,6 +287,20 @@ def random_repository(rng: random.Random, max_commits: int = 40) -> RandomRepo:
             parents = rng.sample(commits, 2)
         else:
             parents = [rng.choice(commits)]
+        if rng.random() < 0.05:
+            # An unrelated root merged in, which answers to the
+            # historical list.
+            if historical_keys and rng.random() < 0.8:
+                k = rng.choice(historical_keys)
+            else:
+                k = rng.choice(pool + [outsider])
+            policy = [anchor] + [p for p in pool[1:] if rng.random() < 0.5]
+            other = store.commit_files({".guix-authorizations": authz_bytes(*policy)},
+                                       message=f"r{i}\n", sign_with=signer(k))
+            if historical is None or k not in historical_keys:
+                violations[other] = "unauthorized-root"
+            policies[other] = policy
+            parents = parents[:1] + [other]
 
         # evolve the policy from the first parent; the anchor never leaves
         policy = list(policies[parents[0]])
@@ -297,6 +320,12 @@ def random_repository(rng: random.Random, max_commits: int = 40) -> RandomRepo:
             ".guix-authorizations": authz_bytes(*policy),
             "data.txt": f"revision {i}\n".encode(),
         }
+        # A parent that deleted the file its own parents have is refused
+        # as a parent, whoever signs, as in Guix.
+        after_removal = not removed.isdisjoint(parents)
+        deletes = not after_removal and rng.random() < 0.05
+        if deletes:
+            del files[".guix-authorizations"]
         roll = rng.random()
         if roll < 0.10:
             kind = rng.choice(["unsigned", "unauthorized", "unknown-key"])
@@ -312,6 +341,10 @@ def random_repository(rng: random.Random, max_commits: int = 40) -> RandomRepo:
         else:
             cid = store.commit_files(files, parents, message=f"c{i}\n",
                                      sign_with=signer(rng.choice(eligible)))
+        if after_removal:
+            violations[cid] = "after-removal"
+        if deletes:
+            removed.add(cid)
         commits.append(cid)
         policies[cid] = policy
 
@@ -324,6 +357,7 @@ def random_repository(rng: random.Random, max_commits: int = 40) -> RandomRepo:
         intro=ChannelIntroduction(commits[0], anchor.fingerprint),
         target=target,
         violations=relevant,
+        historical=historical,
     )
 
 
@@ -350,6 +384,7 @@ def brute_force_authentic(store, intro: ChannelIntroduction, target: ObjectId,
     from gitvouch.gitstore.graph import read_commit, read_path_at_commit
     from gitvouch.gitstore.objects import signed_payload
     from gitvouch.sigverify import parse_packets, dearmor
+    from gitvouch.sigverify.armor import SIGNATURE
     from gitvouch.sigverify.packets import SignaturePacket
     from gitvouch.sigverify.verify import verify_detailed
 
@@ -365,7 +400,7 @@ def brute_force_authentic(store, intro: ChannelIntroduction, target: ObjectId,
         if commit.signature is None:
             return None
         try:
-            packets = parse_packets(dearmor(commit.signature))
+            packets = parse_packets(dearmor(commit.signature, SIGNATURE))
             sig = next(p for p in packets if isinstance(p, SignaturePacket))
             v = verify_detailed(sig, signed_payload(commit), keyring)
             return v.primary_fingerprint, v.key_fingerprint
@@ -379,7 +414,11 @@ def brute_force_authentic(store, intro: ChannelIntroduction, target: ObjectId,
     def authorized_at(parent) -> frozenset | None:
         data = read_path_at_commit(store, parent, AUTHORIZATIONS_FILE)
         if data is None:
-            if historical is not None:
+            # Guix refuses a parent that removed the file: one without it
+            # whose own parent has it.
+            removed = any(read_path_at_commit(store, p, AUTHORIZATIONS_FILE) is not None
+                          for p in read_commit(store, parent).parents)
+            if historical is not None and not removed:
                 return authorized_fingerprints(historical)
             return None
         try:

@@ -82,8 +82,8 @@ def armor(kind: str, data: bytes) -> str:
     crc = base64.b64encode(crc24(data).to_bytes(3, "big")).decode("ascii")
     return (
         f"-----BEGIN PGP {kind}-----\n\n"
-        + "\n".join(lines)
-        + f"\n={crc}\n-----END PGP {kind}-----\n"
+        + "".join(line + "\n" for line in lines)
+        + f"={crc}\n-----END PGP {kind}-----\n"
     )
 
 

@@ -37,6 +37,7 @@ from gitvouch.sigverify import (
     parse_packets,
     verify_detailed,
 )
+from gitvouch.sigverify.armor import SIGNATURE
 
 import fixtures
 from openpgp_writer import export_public, sign_for_tests
@@ -101,14 +102,15 @@ def test_criterion_03_brute_force_oracle_500(capsys):
         agreements = 0
         for _ in range(500):
             repo = fixtures.random_repository(rng, max_commits=40)
+            options = AuthOptions(historical_authorizations=repo.historical)
             try:
-                authenticate_repository(repo.store, repo.intro, repo.target)
+                authenticate_repository(repo.store, repo.intro, repo.target, options)
                 engine_ok = True
             except VouchError:
                 engine_ok = False
             ring = load_keyring(repo.store, "refs/heads/keyring")
             brute_ok = fixtures.brute_force_authentic(
-                repo.store, repo.intro, repo.target, ring
+                repo.store, repo.intro, repo.target, ring, repo.historical
             )
             assert engine_ok == brute_ok, f"oracle disagreement (expected {repo.expect_ok})"
             assert engine_ok == repo.expect_ok
@@ -151,9 +153,8 @@ def test_criterion_05_sha1_policy(capsys):
         ring = Keyring(load_keys(export_public(alice)))
 
         def sig_of(armored):
-            return next(
-                p for p in parse_packets(dearmor(armored)) if isinstance(p, SignaturePacket)
-            )
+            packets = parse_packets(dearmor(armored, SIGNATURE))
+            return next(p for p in packets if isinstance(p, SignaturePacket))
 
         weak = sig_of(sign_for_tests(b"payload\n", alice, hash_algorithm="sha1"))
         with pytest.raises(WeakDigest):

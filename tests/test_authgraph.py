@@ -57,6 +57,11 @@ class TestFig4Scenario:
             authenticate_repository(fig.store, fig.intro, fig.f)
         assert exc.value.commit_id == fig.c.hex
         assert exc.value.parent == fig.b
+        # What b authorized, and the policy blob it came from.
+        assert exc.value.authorized == frozenset({fig.alice.fingerprint, fig.bob.fingerprint})
+        both = fixtures.authz_bytes(fig.alice, fig.bob)
+        assert exc.value.policy == objects.hash_object("blob", both)
+        assert f"2 key(s) listed by policy blob {exc.value.policy}" in str(exc.value)
 
     def test_merge_signer_missing_from_one_parent(self):
         fig = fixtures.fig4(mutation="f_not_in_e")
@@ -261,10 +266,15 @@ class TestPolicyReads:
         with pytest.raises(MissingAuthorizations):
             parent_authorizations(store, b, AuthOptions())
 
+        # b's parent has the file, so b removed it: the historical list
+        # does not stand in for it.
         options = AuthOptions(historical_authorizations=parse_authorizations(
             fixtures.authz_bytes(alice)))
-        assert authenticate_repository(store, intro, c, options).checked == 2
-        assert parent_authorizations(store, b, options) == frozenset({alice.fingerprint})
+        with pytest.raises(MissingAuthorizations, match="removes") as exc:
+            authenticate_repository(store, intro, c, options)
+        assert exc.value.commit_id == b.hex
+        with pytest.raises(MissingAuthorizations, match="removes"):
+            parent_authorizations(store, b, options)
 
     def test_shared_malformed_blob_blames_first_failing_parent(self):
         fig = fixtures.fig4()
@@ -311,6 +321,32 @@ class TestHistoricalMode:
         with pytest.raises(Unauthorized):
             authenticate_repository(repo.store, repo.intro, repo.ids[-1], options)
 
+    def test_removing_the_policy_file_is_refused(self):
+        """Introduction ``a`` authorizes alice; ``d``, signed by alice,
+        deletes ``.guix-authorizations``; ``c``, signed by bob, whom no
+        policy file lists, follows ``d``. The historical list names both,
+        but it stands in only for history before the file existed: as in
+        Guix, the commit that removed the file is refused as a parent."""
+        alice, bob = fixtures.key("alice"), fixtures.key("bob")
+        store = MemoryStore()
+        fixtures.add_keyring_branch(store, [alice, bob])
+        a = store.commit_files({".guix-authorizations": fixtures.authz_bytes(alice)},
+                               message="a\n", sign_with=fixtures.signer(alice))
+        d = store.commit_files({"README": b"no policy\n"}, [a], message="d\n",
+                               sign_with=fixtures.signer(alice))
+        c = store.commit_files({"README": b"still none\n"}, [d], message="c\n",
+                               sign_with=fixtures.signer(bob))
+        intro = ChannelIntroduction(a, alice.fingerprint)
+        historical = parse_authorizations(fixtures.authz_bytes(alice, bob))
+        options = AuthOptions(historical_authorizations=historical)
+        assert authenticate_repository(store, intro, d, options).checked == 1
+        with pytest.raises(MissingAuthorizations, match=f"commit {d} removes") as exc:
+            authenticate_repository(store, intro, c, options)
+        assert exc.value.commit_id == d.hex
+        ring = load_keyring(store)
+        assert fixtures.brute_force_authentic(store, intro, d, ring, historical)
+        assert not fixtures.brute_force_authentic(store, intro, c, ring, historical)
+
 
 class TestUnrelatedRoot:
     """A root other than the introduction, merged into the cone, answers
@@ -340,6 +376,7 @@ class TestUnrelatedRoot:
             authenticate_repository(store, intro, m)
         assert exc.value.commit_id == r.hex
         assert exc.value.parent is None
+        assert exc.value.authorized == frozenset() and exc.value.policy is None
         assert not fixtures.brute_force_authentic(store, intro, m, ring)
 
     @pytest.mark.parametrize("listed", [False, True])
@@ -751,13 +788,14 @@ class TestOracleEquivalence:
         for _ in range(60):
             repo = fixtures.random_repository(rng, max_commits=24)
             ring = load_keyring(repo.store, "refs/heads/keyring")
+            options = AuthOptions(historical_authorizations=repo.historical)
             try:
-                authenticate_repository(repo.store, repo.intro, repo.target)
+                authenticate_repository(repo.store, repo.intro, repo.target, options)
                 engine_ok = True
             except VouchError:
                 engine_ok = False
             brute_ok = fixtures.brute_force_authentic(
-                repo.store, repo.intro, repo.target, ring
+                repo.store, repo.intro, repo.target, ring, repo.historical
             )
             assert engine_ok == brute_ok == repo.expect_ok
             agreements += 1
@@ -774,16 +812,18 @@ class TestOracleEquivalence:
             ring = load_keyring(repo.store, "refs/heads/keyring")
             primer = pick.choice(sorted(
                 oid for oid, obj in repo.store.objects() if obj.kind == "commit"))
-            options = AuthOptions(cache=AuthCache(str(tmp_path / f"s{i}")))
+            options = AuthOptions(cache=AuthCache(str(tmp_path / f"s{i}")),
+                                  historical_authorizations=repo.historical)
+            uncached = AuthOptions(historical_authorizations=repo.historical)
             verdicts = []
             for opts, target in ((options, primer), (options, repo.target),
-                                 (None, repo.target)):
+                                 (uncached, repo.target)):
                 try:
                     authenticate_repository(repo.store, repo.intro, target, opts)
                     verdicts.append(True)
                 except VouchError:
                     verdicts.append(False)
             assert verdicts[0] == fixtures.brute_force_authentic(
-                repo.store, repo.intro, primer, ring)
+                repo.store, repo.intro, primer, ring, repo.historical)
             assert verdicts[1] == verdicts[2] == fixtures.brute_force_authentic(
-                repo.store, repo.intro, repo.target, ring)
+                repo.store, repo.intro, repo.target, ring, repo.historical)

@@ -133,6 +133,20 @@ class TestAuthenticateCommand:
         assert "Unsigned" in err
         assert fig.c.hex in err
 
+    def test_unauthorized_commit_exit_one_names_policy(self, tmp_path, state_dir, capsys):
+        fig = fixtures.fig4(mutation="c_unlisted_key")
+        path = fixtures.export_to_disk(fig.store, str(tmp_path / "bad.git"))
+        code = cli.main([
+            "authenticate", fig.intro.commit.hex, fig.alice.fingerprint.display(),
+            "--repository", path, "--end", fig.f.hex, "--state-dir", state_dir,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"gitvouch: error: Unauthorized at commit {fig.c.hex}")
+        policy = graph.path_entry(fig.store, fig.store.commit(fig.b).tree,
+                                  ".guix-authorizations")
+        assert f"parent {fig.b.hex} (2 key(s) listed by policy blob {policy.hex})" in err
+
     def test_non_ascii_tree_mode_exit_one_without_traceback(self, tmp_path, state_dir, capsys):
         chain = fixtures.bad_tree_mode_chain()
         path = fixtures.export_to_disk(chain.store, str(tmp_path / "bad.git"))

@@ -1,7 +1,9 @@
 """Object model: hashing, commit/tree parsing, signature stripping."""
 
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitvouch.gitstore import (
@@ -14,9 +16,9 @@ from gitvouch.gitstore import (
     serialize_tree,
     signed_payload,
 )
-from gitvouch.gitstore import objects
 from gitvouch.gitstore.objects import CorruptObject, MalformedCommit, NotACommit, TreeEntry
 
+import commit_reference
 import fixtures
 
 # frozen from reference git: `printf ... | git hash-object --stdin`
@@ -120,29 +122,81 @@ class TestParseCommit:
             parse_commit(RawObject("blob", b"hello\n"))
 
 
-class TestTypicalShape:
-    """``parse_commit`` reads a commit of git's usual shape in one match;
-    the header loop must read every such commit the same way."""
+def _hex_id(data: st.DataObject) -> bytes:
+    return data.draw(st.binary(min_size=20, max_size=20)).hex().encode()
+
+
+class TestCommitGrammar:
+    """``parse_commit`` reads the header block with one grammar;
+    ``commit_reference`` holds the header loop it replaced. They must
+    refuse the same payloads and read the others alike."""
 
     @given(
         st.integers(min_value=0, max_value=3),
-        st.one_of(st.none(), st.lists(header_line, min_size=1, max_size=6)),
-        st.binary(max_size=32),
+        st.lists(st.sampled_from([b"encoding", b"mergetag", b"gpgsig", b"gpgsig-sha256"]),
+                 max_size=4),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(b"\n 0aAgt-\xff")),
+                 max_size=2),
         st.data(),
     )
-    def test_one_match_reads_as_the_header_loop(self, parents, sig_lines, message, data):
-        signature = None if sig_lines is None else b"\n".join(sig_lines)
-        payload = make_commit_payload(parents=parents, signature=signature, message=message)
-        assert objects._TYPICAL_HEAD_RE.match(payload)
-        # One byte of the headers replaced may leave the shape or not.
+    @settings(max_examples=400)
+    def test_parses_as_the_reference_loop(self, parents, extras, shuffle, mutations, data):
+        headers = [b"tree " + _hex_id(data)]
+        headers += [b"parent " + _hex_id(data) for _ in range(parents)]
+        headers += [fold(b"author", data.draw(st.lists(header_line, min_size=1, max_size=3))),
+                    fold(b"committer", data.draw(st.lists(header_line, min_size=1, max_size=3)))]
+        for name in extras:
+            if name == b"encoding":
+                headers.append(b"encoding ISO-8859-1")
+            elif name == b"mergetag":
+                headers.append(fold(name, [b"object " + _hex_id(data), b"type commit",
+                                           b"tag v1", b"", b"message", *FAKE_SIG.split(b"\n")]))
+            else:
+                headers.append(fold(name, data.draw(st.lists(header_line, min_size=1))))
+        if shuffle:
+            headers = data.draw(st.permutations(headers))
         if data.draw(st.booleans()):
-            at = data.draw(st.integers(min_value=0, max_value=payload.index(b"\n\n")))
-            byte = data.draw(st.sampled_from(b"\n 0aAg-\xff"))
-            payload = payload[:at] + bytes([byte]) + payload[at + 1 :]
-        if not objects._TYPICAL_HEAD_RE.match(payload):
+            # One header repeated, or continued by one more line.
+            at = data.draw(st.integers(0, len(headers) - 1))
+            if data.draw(st.booleans()):
+                headers.insert(at, headers[at])
+            else:
+                headers[at] += b"\n " + data.draw(header_line)
+        payload = b"".join(h + b"\n" for h in headers) + b"\n" + data.draw(st.binary(max_size=16))
+        for at, byte in mutations:
+            at %= len(payload)
+            payload = payload[:at] + bytes([byte]) + payload[at + 1:]
+
+        try:
+            expected = commit_reference._parse_headers(payload)
+        except MalformedCommit:
+            with pytest.raises(MalformedCommit):
+                parse_commit(RawObject("commit", payload))
             return
         commit = parse_commit(RawObject("commit", payload))
-        assert (commit.tree, commit.parents, commit.gpgsig_span) == objects._parse_headers(payload)
+        assert (commit.tree, commit.parents, commit.gpgsig_span) == expected
+
+    TREE = b"tree " + b"11" * 20 + b"\n"
+
+    # A grammar that backtracks over what it has read would take
+    # quadratic or exponential time on each of these.
+    @pytest.mark.parametrize("payload, parses", [
+        (TREE + b"author a\n" + b" x\n" * 200_000 + b"committer c\n\nm", True),
+        (TREE + b"author a\n" + b" x\n" * 200_000 + b"committer c\n", False),
+        (TREE + b"author " + b"a" * (4 << 20), False),
+        (TREE + b"author a\ncommitter c\n" + b"x y\n" * 100_000, False),
+    ], ids=["200k continuation lines", "200k continuation lines, no end",
+            "4 MiB line without newline", "100k headers without an empty line"])
+    def test_pathological_headers_finish(self, payload, parses):
+        started = time.monotonic()
+        try:
+            parse_commit(RawObject("commit", payload))
+            parsed = True
+        except MalformedCommit:
+            parsed = False
+        assert parsed == parses
+        assert time.monotonic() - started < 5.0
 
 
 class TestSignedPayload:

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from gitvouch import authgraph
-from gitvouch.authgraph import authenticate_repository
+from gitvouch.authgraph import AuthOptions, authenticate_repository
 from gitvouch.errors import VouchError
 from gitvouch.gitstore import MemoryStore
 from gitvouch.sigverify.packets import ALGO_EDDSA
@@ -40,12 +40,12 @@ def forks(monkeypatch):
     return count
 
 
-def outcome(store, intro, target, threshold, monkeypatch):
+def outcome(store, intro, target, threshold, monkeypatch, options=None):
     """(error class name, offending commit, signers, helper count) of one
     run, forking a helper for ``threshold`` or more commits."""
     monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", threshold)
     try:
-        report = authenticate_repository(store, intro, target)
+        report = authenticate_repository(store, intro, target, options)
     except VouchError as exc:
         return type(exc).__name__, exc.commit_id, None, None
     return None, None, report.signers, report.helper_verified
@@ -133,8 +133,9 @@ class TestHelperVerdicts:
         failing = 0
         for _ in range(40):
             repo = fixtures.random_repository(rng, max_commits=24)
-            off = outcome(repo.store, repo.intro, repo.target, NEVER, monkeypatch)
-            on = outcome(repo.store, repo.intro, repo.target, 1, monkeypatch)
+            options = AuthOptions(historical_authorizations=repo.historical)
+            off = outcome(repo.store, repo.intro, repo.target, NEVER, monkeypatch, options)
+            on = outcome(repo.store, repo.intro, repo.target, 1, monkeypatch, options)
             assert on[:3] == off[:3]
             assert (off[0] is None) == repo.expect_ok
             failing += off[0] is not None
