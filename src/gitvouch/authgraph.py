@@ -20,7 +20,8 @@ import signal
 import struct
 import tempfile
 import threading
-from collections.abc import Container, Iterator, Set
+from binascii import hexlify
+from collections.abc import Callable, Container, Iterator, Mapping, Set
 from dataclasses import dataclass, field
 
 from gitvouch import authz
@@ -105,7 +106,11 @@ class AuthReport:
     """What a successful run did. ``ancestors`` holds the target and
     every id the walk proved, by parent edges in hashed commits, to be
     an ancestor of it: the walked commits and the stop ids they name as
-    parents. The cache can only shrink this set, never add to it."""
+    parents. The cache can only shrink this set, never add to it.
+
+    ``generation`` gives the generation number of the introduction (0),
+    of an id the cache records, or of a commit this run recorded, and
+    None for any other id. Only a run with a cache records commits."""
 
     target: ObjectId
     checked: int
@@ -115,6 +120,7 @@ class AuthReport:
     ancestors: frozenset[ObjectId]
     signers: dict[ObjectId, Fingerprint] = field(default_factory=dict)
     helper_verified: int = 0
+    generation: Callable[[ObjectId], int | None] = lambda oid: None
 
 
 class AuthCache:
@@ -124,11 +130,17 @@ class AuthCache:
     Every id in a file descends from the introduction its header line
     names, so a walk that reaches one has proved descent as well as
     authenticity. The file is a header line, ``introduction <commit hex>
-    <signer hex>``, then one id per line in 40 lowercase hex digits,
-    appended in batches with no overall order. Purely advisory: a file
-    that is missing, unparsable, or headed for another introduction
-    reads as empty (one full check, after which it is replaced), and
-    write failures are warnings.
+    <signer hex> generations``, then one line per id: the id in 40
+    lowercase hex digits, a space, and its generation number in 8
+    lowercase hex digits. The introduction's generation is 0, and a
+    commit's is one more than the largest among its parents that
+    descend from the introduction. Lines are appended in batches with no
+    overall order. Purely advisory: a file that is missing, unparsable,
+    or headed for another introduction reads as empty (one full check,
+    after which it is replaced), and write failures are warnings.
+    Generation numbers only prune the walks of
+    :func:`~gitvouch.channel.fast_forward_check`, so a false one can
+    cause a refusal, never an acceptance.
     """
 
     def __init__(self, state_dir: str | None = None) -> None:
@@ -140,61 +152,70 @@ class AuthCache:
 
     @staticmethod
     def _header(intro: ChannelIntroduction) -> bytes:
-        return f"introduction {intro.commit.hex} {intro.signer.hex}\n".encode("ascii")
+        return f"introduction {intro.commit.hex} {intro.signer.hex} generations\n".encode("ascii")
 
     def _path(self, key: str) -> str:
         return os.path.join(self.state_dir, "authentication", key)
 
-    def read(self, key: str, intro: ChannelIntroduction) -> Set[ObjectId]:
-        """The ids recorded under ``key``, as a read-only set.
+    def read(self, key: str, intro: ChannelIntroduction) -> "_CachedIds":
+        """The ids recorded under ``key``, as a read-only set whose
+        ``generation`` method gives each one's generation number.
 
         Only what :meth:`write` produces is accepted: the header, then
-        lines of exactly 40 lowercase hex digits, each ending in ``\\n``.
-        The checks are byte operations over the whole file, and the set
-        is backed by the file's lines, so reading it, ``in`` and
-        ``len()`` run no Python code per cached id.
+        lines of exactly 40 lowercase hex digits, a space, 8 lowercase
+        hex digits and ``\\n``. The checks are byte operations over the
+        whole file, and the set is backed by the file's words, so
+        reading it, ``in`` and ``len()`` run no Python code per cached
+        id.
         """
         try:
             with open(self._path(key), "rb") as fh:
                 content = fh.read()
         except OSError:
-            return frozenset()
+            return _NO_IDS
         header = self._header(intro)
         if not content.startswith(header):
             logger.warning("ignoring authentication cache %s: not written for "
                            "this introduction", key)
-            return frozenset()
+            return _NO_IDS
         body = content[len(header):]
         count, rest = divmod(len(body), _LINE)
+        # Each line has its space and newline in place, and the file has
+        # no other byte that is not a lowercase hex digit.
         if (
             rest
-            or body.count(b"\n") != count
-            or body[_LINE - 1 :: _LINE].count(b"\n") != count
-            or body.translate(None, _LINE_BYTES)
+            or body[_SPACE::_LINE] != b" " * count
+            or body[_LINE - 1 :: _LINE] != b"\n" * count
+            or body.translate(None, _HEX_DIGITS) != b" \n" * count
         ):
             logger.warning("ignoring unparsable authentication cache %s", key)
-            return frozenset()
-        return _CachedIds(body.decode("ascii").split("\n")[:-1])
+            return _NO_IDS
+        words = body.split()
+        return _CachedIds(dict(zip(words[0::2], words[1::2])))
 
     def write(
         self,
         key: str,
         intro: ChannelIntroduction,
-        ids: set[ObjectId],
+        generations: Mapping[ObjectId, int],
         known: Set[ObjectId],
     ) -> None:
-        """Record ``ids``, given ``known``, what :meth:`read` returned
-        for this key.
+        """Record each id of ``generations`` with its generation number,
+        given ``known``, what :meth:`read` returned for this key.
 
         Nothing is written when every id is known. When ``known`` is not
         empty the file was read intact, so only the new ids are appended,
         provided the file still carries this introduction's header.
-        Otherwise the file is atomically replaced.
+        Otherwise the file is atomically replaced. An id whose number
+        does not fit in 8 hex digits, which only a false cached number
+        can cause, is not recorded.
         """
-        new = ids - known
-        if not new:
+        lines = "".join(
+            f"{oid.hex} {gen:08x}\n" for oid, gen in generations.items()
+            if oid not in known and gen <= _MAX_GENERATION
+        ).encode("ascii")
+        if not lines:
             return
-        lines = "".join(oid.hex + "\n" for oid in new).encode("ascii")
         header = self._header(intro)
         path = self._path(key)
         try:
@@ -237,28 +258,34 @@ class AuthCache:
         return True
 
 
-# A cache line: 40 lowercase hex digits and a newline.
-_LINE = 41
-_LINE_BYTES = b"0123456789abcdef\n"
+# A cache line: an id in 40 lowercase hex digits, a space, its
+# generation number in 8 lowercase hex digits, and a newline.
+_LINE = 50
+_SPACE = 40
+_HEX_DIGITS = b"0123456789abcdef"
+_MAX_GENERATION = 0xFFFFFFFF
 
 
 class _CachedIds(Set):
-    """Read-only set of ids backed by their lowercase hex spellings.
+    """Read-only set of ids backed by a dict from their lowercase hex
+    spellings to their generation numbers' hex spellings, all ASCII
+    bytes.
 
     Membership and length cost no more than on the hex strings; only
-    iteration builds ``ObjectId`` values, one per id, when asked.
-    Set operations return plain sets.
+    iteration builds ``ObjectId`` values, one per id, when asked, and
+    :meth:`generation` parses one number per call. Set operations
+    return plain sets.
     """
 
     __slots__ = ("_hex",)
 
-    def __init__(self, hex_ids) -> None:
-        self._hex = frozenset(hex_ids)
+    def __init__(self, hex_generations: dict[bytes, bytes]) -> None:
+        self._hex = hex_generations
 
     def __contains__(self, oid) -> bool:
         try:
-            return oid.raw.hex() in self._hex
-        except AttributeError:
+            return hexlify(oid.raw) in self._hex
+        except (AttributeError, TypeError):
             return False
 
     def __len__(self) -> int:
@@ -267,9 +294,17 @@ class _CachedIds(Set):
     def __iter__(self) -> Iterator[ObjectId]:
         return map(ObjectId.from_hex, self._hex)
 
+    def generation(self, oid: ObjectId) -> int | None:
+        """The generation number recorded for ``oid``, or None."""
+        gen = self._hex.get(hexlify(oid.raw))
+        return None if gen is None else int(gen, 16)
+
     @classmethod
     def _from_iterable(cls, iterable) -> set:
         return set(iterable)
+
+
+_NO_IDS = _CachedIds({})
 
 
 class _StopIds:
@@ -601,9 +636,10 @@ def authenticate_repository(
     definition. (2) The introductory commit's signature must match the
     pinned fingerprint; this runs on every call. (3) Every walked commit
     is checked, parents before children. (4) On success the cache
-    records the target and every checked commit proved to descend from
-    the introduction, so later runs walk only new commits. The
-    introduction's ancestors are trusted and never examined.
+    records every checked commit proved to descend from the
+    introduction, the target among them, with its generation number, so
+    later runs walk only new commits. The introduction's ancestors are
+    trusted and never examined.
 
     When at least :data:`HELPER_MIN_COMMITS` commits are left for step
     (3), a second CPU is free and no other thread runs, one forked
@@ -616,7 +652,7 @@ def authenticate_repository(
     """
     options = options if options is not None else AuthOptions()
     cache_key = options.cache_key or AuthCache.key_for(intro)
-    cached: Set[ObjectId] = frozenset()
+    cached = _NO_IDS
     if options.cache is not None:
         cached = options.cache.read(cache_key, intro)
     # Never iterate the cache: it may hold the whole history. Without
@@ -664,7 +700,16 @@ def authenticate_repository(
     known[intro.commit] = intro_commit
     reader = _AuthzReader(store, options, known)
     signers: dict[ObjectId, Fingerprint] = {}
-    recorded = {target}
+    # The generation numbers of the commits this run records: those
+    # with a parent that descends from the introduction.
+    recorded: dict[ObjectId, int] = {}
+
+    def generation(oid: ObjectId) -> int | None:
+        if oid == intro.commit:
+            return 0
+        gen = recorded.get(oid)
+        return gen if gen is not None else cached.generation(oid)
+
     proofs = _Proofs()
     helper = None
     try:
@@ -686,9 +731,10 @@ def authenticate_repository(
                     commit, keyring, parent_sets or [(None, None, defaults)], proofs=proofs)
             except VouchError as exc:
                 raise exc.annotate(cid.hex)
-            if options.cache is not None and any(
-                    p in stop or p in recorded for p in commit.parents):
-                recorded.add(cid)
+            if options.cache is not None:
+                gens = [g for g in map(generation, commit.parents) if g is not None]
+                if gens:
+                    recorded[cid] = max(gens) + 1
     finally:
         if helper is not None:
             helper.stop()
@@ -705,4 +751,5 @@ def authenticate_repository(
         ancestors=ancestors,
         signers=signers,
         helper_verified=proofs.hits,
+        generation=generation,
     )

@@ -14,7 +14,7 @@ import fcntl
 import os
 import tempfile
 import time
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 from gitvouch.authgraph import ChannelIntroduction
@@ -195,37 +195,65 @@ def fast_forward_check(
     current: ObjectId,
     target: ObjectId,
     ancestors: Collection[ObjectId] = frozenset(),
+    generation: Callable[[ObjectId], int | None] | None = None,
 ) -> FastForwardVerdict:
     """Relate two commits: equal, forward, backward, or divergent.
 
     ``ancestors`` holds ids already proved to be ``target`` or its
     ancestors, such as :attr:`AuthReport.ancestors` from authenticating
-    ``target``. The checks run in this order:
+    ``target``. ``generation`` gives an id's generation number or None,
+    such as :attr:`AuthReport.generation`. The checks run in this order:
 
     1. ``SAME`` when the ids are equal;
     2. ``FAST_FORWARD`` when ``current`` is in ``ancestors``, with no walk;
-    3. two breadth-first walks in lockstep, one commit read from each
-       per round: from ``current`` looking for ``target`` (``DOWNGRADE``)
-       and from ``target`` looking for ``current`` (``FAST_FORWARD``,
-       needed only when ``current`` is hidden from the proof, for
-       instance behind an id another run cached). The first to meet its
-       goal answers, so either relation costs about twice the commits
-       between the two tips, whatever lies behind the older one;
-    4. ``UNRELATED`` once both walks are spent.
+    3. when ``generation`` numbers both ids, only the walk that can
+       succeed, pruned below the number it looks for
+       (:func:`~gitvouch.gitstore.graph.ancestor_steps`): from
+       ``current`` looking for ``target`` (``DOWNGRADE``) when
+       ``target``'s number is lower, from ``target`` looking for
+       ``current`` (``FAST_FORWARD``) when it is higher, and none when
+       the numbers are equal. On a history numbered throughout, a
+       refused downgrade or an unrelated tip then reads only the
+       commits numbered between the two tips; commits without a number
+       (ancestors of the introduction, a merged foreign root) are
+       walked as without pruning. Otherwise, two breadth-first walks in
+       lockstep, one commit read from each per round, the same two
+       without pruning (the ``FAST_FORWARD`` one is needed only when
+       ``current`` is hidden from the proof, for instance behind an id
+       another run cached). The first to meet its goal answers, so
+       either relation costs about twice the commits between the two
+       tips, whatever lies behind the older one;
+    4. ``UNRELATED`` once the walks are spent.
 
     The order cannot change a verdict: over an acyclic history each id
     is an ancestor of the other only when the two are equal, so at most
     one of the checks can succeed. ``ancestors`` is trusted as given, so
     it must hold only ids proved from parent edges in hashed commits, as
-    the walks are. A hostile cache can only shrink
-    :attr:`AuthReport.ancestors`, which costs more walking here and
-    never accepts a downgrade.
+    the walks are. Generation numbers are not trusted: they only stop a
+    walk early, which can turn an ancestor into a non-ancestor and never
+    the reverse. A hostile cache can only shrink
+    :attr:`AuthReport.ancestors` or falsify generation numbers, which
+    costs more walking here or refuses an update, and never accepts a
+    downgrade.
     """
     if current == target:
         store.read_object(current)
         return FastForwardVerdict.SAME
     if current in ancestors:
         return FastForwardVerdict.FAST_FORWARD
+    gens = (None, None) if generation is None else (generation(current), generation(target))
+    if None not in gens:
+        current_gen, target_gen = gens
+        if target_gen < current_gen:
+            verdict = FastForwardVerdict.DOWNGRADE
+            walk = graph.ancestor_steps(store, target, current, generation)
+        else:
+            store.read_object(current)  # a missing baseline raises, as the walks would
+            if target_gen == current_gen:
+                return FastForwardVerdict.UNRELATED
+            verdict = FastForwardVerdict.FAST_FORWARD
+            walk = graph.ancestor_steps(store, current, target, generation)
+        return verdict if any(walk) else FastForwardVerdict.UNRELATED
     walks = [
         (FastForwardVerdict.DOWNGRADE, graph.ancestor_steps(store, target, current)),
         (FastForwardVerdict.FAST_FORWARD, graph.ancestor_steps(store, current, target)),

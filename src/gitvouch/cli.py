@@ -9,6 +9,7 @@ output goes to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -169,7 +170,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     if baseline is not None:
         try:
             verdict = channel.fast_forward_check(
-                repo, baseline.commit, tip, report.ancestors
+                repo, baseline.commit, tip, report.ancestors, report.generation
             )
         except ObjectNotFound:
             # Baseline commit missing from this clone: treat like
@@ -265,9 +266,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # argparse makes a help formatter, which asks for the terminal size,
+    # for each argument added: building costs ten times a parse. Parsing
+    # leaves the parser as it was, so one serves every call.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="gitvouch: %(levelname)s: %(message)s")
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

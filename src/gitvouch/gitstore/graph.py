@@ -8,7 +8,7 @@ at already-trusted commits and never visits what lies behind them.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Container, Iterator
+from collections.abc import Callable, Container, Iterator
 
 from gitvouch.gitstore.objects import (
     Commit,
@@ -23,15 +23,36 @@ def read_commit(store, oid: ObjectId) -> Commit:
     return parse_commit(store.read_object(oid), oid)
 
 
-def ancestor_steps(store, a: ObjectId, b: ObjectId) -> Iterator[bool]:
+def ancestor_steps(
+    store,
+    a: ObjectId,
+    b: ObjectId,
+    generation: Callable[[ObjectId], int | None] | None = None,
+) -> Iterator[bool]:
     """Breadth-first walk from ``b`` looking for a strict ancestor ``a``,
     one commit read per step: yields True and stops when a commit read
     names ``a`` as a parent, yields False otherwise, and ends when the
-    history below ``b`` is spent. Lets a caller interleave two walks."""
+    history below ``b`` is spent. Lets a caller interleave two walks.
+
+    ``generation`` gives an id's generation number, or None. When it
+    numbers ``a``, the walk never reads a commit it numbers no higher
+    than ``a``: a strict ancestor's number is always lower than its
+    descendant's, so true numbers lose nothing, and false ones can only
+    hide ``a``. An id it does not number is walked as without it, so a
+    branch outside the numbered history, such as one forked before the
+    introduction and merged after it, costs about as many levels as the
+    walk takes to find ``a``.
+    """
+    floor = generation(a) if generation is not None else None
     seen = {b}
     queue = deque([b])
     while queue:
-        parents = read_commit(store, queue.popleft()).parents
+        oid = queue.popleft()
+        if floor is not None:
+            gen = generation(oid)
+            if gen is not None and gen <= floor:
+                continue
+        parents = read_commit(store, oid).parents
         if a in parents:
             yield True
             return

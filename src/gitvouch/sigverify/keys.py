@@ -1,13 +1,16 @@
 """Public keys and keyrings.
 
 Deliberately ignores everything the authorization model does not need:
-key signatures (web of trust), expiration, and revocation carry no
-weight here. A subkey remembers its primary's fingerprint so signature
-verification can report the primary key.
+certifications (web of trust), expiration, and revocation carry no
+weight here. The one key signature read is a subkey's binding
+signature: a subkey counts only when its primary has signed it. A
+subkey remembers its primary's fingerprint so signature verification
+can report the primary key.
 """
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -19,8 +22,11 @@ from gitvouch.sigverify.packets import (
     ALGO_RSA,
     ALGO_RSA_SIGN_ONLY,
     KeyPacket,
+    SignaturePacket,
     parse_packets,
 )
+
+logger = logging.getLogger(__name__)
 
 
 class NoKeyFound(VouchError):
@@ -54,44 +60,75 @@ def _algorithm_name(algo: int) -> str:
     return ALGORITHM_NAMES.get(algo, f"unsupported({algo})")
 
 
+def _public_key(packet: KeyPacket, primary: Fingerprint | None = None) -> PublicKey:
+    """The key ``packet`` holds; a subkey names its ``primary``."""
+    fingerprint = packet.fingerprint
+    return PublicKey(
+        version=packet.version,
+        algorithm=_algorithm_name(packet.algorithm),
+        creation_time=packet.creation_time,
+        material=packet.material,
+        fingerprint=fingerprint,
+        primary_fingerprint=primary or fingerprint,
+    )
+
+
 def load_keys(data: bytes | str) -> list[PublicKey]:
     """Load primary keys and subkeys from binary packets or armored text.
 
-    Multiple concatenated armored blocks are accepted, each labelled
-    ``PGP PUBLIC KEY BLOCK``. User-id and signature packets are skipped
-    entirely.
+    ``bytes`` are binary packets when the first byte is a packet tag
+    (bit 7 set), and text otherwise. Text may hold several armored
+    blocks, each labelled ``PGP PUBLIC KEY BLOCK``; text outside them is
+    ignored. A subkey is kept only when a signature that follows it,
+    before the next key, binds it to its primary (see
+    :func:`~gitvouch.sigverify.verify.verify_binding`); otherwise it is
+    skipped with a warning. User-id packets and every other signature
+    are skipped entirely.
     """
-    if isinstance(data, str):
+    # verify imports this module.
+    from gitvouch.sigverify.verify import verify_binding
+
+    if isinstance(data, bytes) and data[:1] >= b"\x80":
+        binary = data
+    else:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8", "replace")
         binary = b"".join(dearmor_all(data, PUBLIC_KEY_BLOCK))
         if not binary:
             raise NoKeyFound("no armored blocks in text input")
-    elif data.lstrip()[:15].startswith(b"-----BEGIN PGP "):
-        return load_keys(data.decode("utf-8", "replace"))
-    else:
-        binary = data
 
     keys: list[PublicKey] = []
-    primary: Fingerprint | None = None
+    primary: tuple[KeyPacket, PublicKey] | None = None
+    unbound: KeyPacket | None = None  # the last subkey, until a binding
+
+    def skip_unbound() -> None:
+        if unbound is not None:
+            logger.warning("skipping subkey %s of %s: no valid binding signature",
+                           unbound.fingerprint.display(), primary[1].fingerprint.display())
+
     for packet in parse_packets(binary):
+        if isinstance(packet, SignaturePacket):
+            if unbound is not None:
+                try:
+                    verify_binding(packet, primary[0], unbound, primary[1])
+                except VouchError:
+                    continue
+                keys.append(_public_key(unbound, primary[1].fingerprint))
+                unbound = None
+            continue
         if not isinstance(packet, KeyPacket):
             continue
-        fpr = packet.fingerprint
+        skip_unbound()
         if packet.is_subkey:
             if primary is None:
                 raise NoKeyFound("subkey packet before any primary key")
-            owner = primary
+            unbound = packet
         else:
-            primary = owner = fpr
-        keys.append(
-            PublicKey(
-                version=packet.version,
-                algorithm=_algorithm_name(packet.algorithm),
-                creation_time=packet.creation_time,
-                material=packet.material,
-                fingerprint=fpr,
-                primary_fingerprint=owner,
-            )
-        )
+            unbound = None
+            key = _public_key(packet)
+            primary = (packet, key)
+            keys.append(key)
+    skip_unbound()
     if not keys:
         raise NoKeyFound("input contains no public key packets")
     return keys

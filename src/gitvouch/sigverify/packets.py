@@ -325,14 +325,16 @@ def parse_packets(data: bytes) -> list[Packet]:
     return packets
 
 
+def key_hash_input(key_body: bytes) -> bytes:
+    """How a v4 key packet enters a fingerprint or a key signature's
+    digest: 0x99, the two-octet body length, the body."""
+    return b"\x99" + len(key_body).to_bytes(2, "big") + key_body
+
+
 def fingerprint_of(key_body: bytes) -> Fingerprint:
-    """v4 fingerprint: SHA-1 over 0x99, two-octet body length, body."""
+    """v4 fingerprint: SHA-1 over :func:`key_hash_input`."""
     if not key_body:
         raise Truncated("empty key packet")
     if key_body[0] != 4:
         raise Unsupported(f"cannot fingerprint version {key_body[0]} key")
-    h = hashlib.sha1()
-    h.update(b"\x99")
-    h.update(len(key_body).to_bytes(2, "big"))
-    h.update(key_body)
-    return Fingerprint(h.digest())
+    return Fingerprint(hashlib.sha1(key_hash_input(key_body)).digest())

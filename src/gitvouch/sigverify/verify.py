@@ -22,12 +22,15 @@ from gitvouch.sigverify.packets import (
     HASH_SHA1,
     HASH_SHA256,
     HASH_SHA512,
+    KeyPacket,
     SignaturePacket,
     Unsupported,
+    key_hash_input,
 )
 
 SIG_BINARY = 0x00
 SIG_TEXT = 0x01
+SIG_SUBKEY_BINDING = 0x18
 
 
 class WeakDigest(VouchError):
@@ -144,14 +147,39 @@ def verify_detailed(
     already known to pass; a check whose exact record is there skips
     only the public-key operation. Every other check runs as usual.
     """
+    hasher = _hash_for(sig)(_canonical_payload(payload, sig.sig_type))
+    return _verify_digest(sig, hasher, keyring, proofs)
+
+
+def verify_binding(sig: SignaturePacket, primary: KeyPacket, subkey: KeyPacket,
+                   primary_key: PublicKey) -> None:
+    """Check that ``sig`` binds ``subkey`` to ``primary`` (RFC 9580
+    §5.2.4): a subkey binding signature over both key packets, issued
+    by ``primary_key``, the key loaded from ``primary``, and checked
+    under the same digest policy and Ed25519 rule as
+    :func:`verify_detailed`. Raises a ``VouchError`` otherwise."""
+    if sig.sig_type != SIG_SUBKEY_BINDING:
+        raise BadSignature(f"signature type {sig.sig_type:#04x} is not a subkey binding")
+    hasher = _hash_for(sig)(key_hash_input(primary.body) + key_hash_input(subkey.body))
+    _verify_digest(sig, hasher, Keyring([primary_key]), frozenset())
+
+
+def _hash_for(sig: SignaturePacket):
+    """The digest constructor for ``sig``, once the digest policy allows it."""
     if sig.hash_algorithm in (HASH_MD5, HASH_SHA1):
         name = "MD5" if sig.hash_algorithm == HASH_MD5 else "SHA-1"
         raise WeakDigest(f"{name} signatures are rejected by policy")
     digest_ctor = _DIGESTS.get(sig.hash_algorithm)
     if digest_ctor is None:
         raise Unsupported(f"hash algorithm {sig.hash_algorithm} not supported")
+    return digest_ctor
 
-    hasher = digest_ctor(_canonical_payload(payload, sig.sig_type))
+
+def _verify_digest(
+    sig: SignaturePacket, hasher, keyring: Keyring, proofs: Container[bytes],
+) -> VerifiedSignature:
+    """Finish ``hasher``, fed with the signed data, with ``sig``'s
+    trailer, and check the result with a key of ``keyring``."""
     hasher.update(sig.trailer())
     digest = hasher.digest()
     if digest[:2] != sig.left16:
@@ -191,4 +219,3 @@ def verify_detailed(
             last = exc
     assert last is not None
     raise last
-

@@ -37,6 +37,7 @@ from gitvouch.sigverify.packets import (
     SUBPKT_ISSUER_FINGERPRINT,
     SUBPKT_ISSUER_KEY_ID,
     TAG_PUBLIC_KEY,
+    TAG_PUBLIC_SUBKEY,
     TAG_SIGNATURE,
     TAG_USER_ID,
 )
@@ -219,9 +220,11 @@ def sign_for_tests(
     return armor("SIGNATURE", packet(TAG_SIGNATURE, body))
 
 
-def export_public(key: SigningKey, *, armored: bool = True) -> str | bytes:
-    """Certificate (key + user id + self-certification) that OpenPGP
-    tooling can import."""
+def export_public(key: SigningKey, *, armored: bool = True,
+                  subkeys: tuple[_Key, ...] = ()) -> str | bytes:
+    """Certificate (key + user id + self-certification, then each of
+    ``subkeys`` with its binding signature) that OpenPGP tooling can
+    import."""
     key_body = key.key_packet_body
     uid = key.user_id.encode("utf-8")
     cert_input = _key_hash_input(key_body) + b"\xb4" + len(uid).to_bytes(4, "big") + uid
@@ -231,10 +234,23 @@ def export_public(key: SigningKey, *, armored: bool = True) -> str | bytes:
         packet(TAG_PUBLIC_KEY, key_body)
         + packet(TAG_USER_ID, uid)
         + packet(TAG_SIGNATURE, selfsig)
+        + b"".join(bind_subkey(key, sub) for sub in subkeys)
     )
     if armored:
         return armor("PUBLIC KEY BLOCK", binary)
     return binary
+
+
+def bind_subkey(primary: _Key, subkey: _Key, *, sig_type: int = 0x18,
+                hash_id: int = HASH_SHA256) -> bytes:
+    """``subkey``'s packet as a subkey (tag 14), then ``primary``'s
+    subkey binding signature over both key packets (RFC 9580 §5.2.4),
+    flagged for signing. ``sig_type`` and ``hash_id`` may be wrong on
+    purpose. No embedded back-signature is written."""
+    data = _key_hash_input(primary.key_packet_body) + _key_hash_input(subkey.key_packet_body)
+    binding = primary.signature(sig_type, hash_id, data, primary.created,
+                                extra=subpacket(SUBPKT_KEY_FLAGS, b"\x02"))  # sign
+    return packet(TAG_PUBLIC_SUBKEY, subkey.key_packet_body) + packet(TAG_SIGNATURE, binding)
 
 
 def claim_algorithm(armored: str, algorithm: int, payload: bytes) -> str:

@@ -3,8 +3,11 @@ historical mode, keyring loading, and the advisory cache."""
 
 import os
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gitvouch.authgraph import (
     AuthCache,
@@ -447,6 +450,50 @@ class TestKeyring:
         store.set_ref("refs/heads/keyring", cid)
         assert len(load_keyring(store, "refs/heads/keyring")) == 1
 
+    def test_key_file_with_text_before_the_armor_loads(self):
+        store = MemoryStore()
+        alice = fixtures.key("alice")
+        listing = f"pub ed25519 {alice.fingerprint.display()}\n".encode()
+        cid = store.commit_files(
+            {"alice.key": listing + fixtures.export_public(alice).encode()}, message="keys\n")
+        store.set_ref("refs/heads/keyring", cid)
+        assert alice.fingerprint in load_keyring(store, "refs/heads/keyring")
+
+    def test_unbound_subkey_cannot_sign_as_its_primary(self):
+        # The keyring branch is as untrusted as the rest of the
+        # repository: a file that files mallory's key as a subkey of
+        # alice's, with no binding signature by alice, must not let
+        # mallory sign as alice.
+        from openpgp_writer import armor, packet
+        from gitvouch.sigverify.packets import TAG_PUBLIC_KEY, TAG_PUBLIC_SUBKEY
+
+        alice, mallory = fixtures.key("alice"), fixtures.key("mallory")
+        store = MemoryStore()
+        rogue = armor("PUBLIC KEY BLOCK", packet(TAG_PUBLIC_KEY, alice.key_packet_body)
+                      + packet(TAG_PUBLIC_SUBKEY, mallory.key_packet_body))
+        keys = store.commit_files({"alice.key": fixtures.export_public(alice).encode(),
+                                   "zz-rogue.key": rogue.encode()}, message="keys\n")
+        store.set_ref("refs/heads/keyring", keys)
+        policy = {".guix-authorizations": fixtures.authz_bytes(alice)}
+        a = store.commit_files(policy, message="a\n", sign_with=fixtures.signer(alice))
+        b = store.commit_files(policy, [a], message="b\n", sign_with=fixtures.signer(mallory))
+        with pytest.raises(UnknownKey) as exc:
+            authenticate_repository(store, ChannelIntroduction(a, alice.fingerprint), b)
+        assert exc.value.commit_id == b.hex
+
+    def test_bound_subkey_signs_for_its_primary(self):
+        alice, sub = fixtures.key("alice"), fixtures.key("alice-sub")
+        store = MemoryStore()
+        keys = store.commit_files(
+            {"alice.key": fixtures.export_public(alice, subkeys=(sub,)).encode()},
+            message="keys\n")
+        store.set_ref("refs/heads/keyring", keys)
+        policy = {".guix-authorizations": fixtures.authz_bytes(alice)}
+        a = store.commit_files(policy, message="a\n", sign_with=fixtures.signer(alice))
+        b = store.commit_files(policy, [a], message="b\n", sign_with=fixtures.signer(sub))
+        report = authenticate_repository(store, ChannelIntroduction(a, alice.fingerprint), b)
+        assert report.signers == {b: alice.fingerprint}
+
 
 class TestSignatureErrors:
     def test_unsigned_introduction(self):
@@ -571,27 +618,34 @@ class TestCache:
         fig = fixtures.fig4()
         cache = AuthCache(str(tmp_path / "state"))
         assert cache.read("k", fig.intro) == set()
-        ids = {ObjectId(bytes([i]) * 20) for i in range(3)}
-        cache.write("k", fig.intro, ids, set())
-        assert cache.read("k", fig.intro) == ids
-        cache.write("k", fig.intro, {ObjectId(b"\x09" * 20)}, ids)
-        assert cache.read("k", fig.intro) == ids | {ObjectId(b"\x09" * 20)}
+        gens = {ObjectId(bytes([i]) * 20): i + 1 for i in range(3)}
+        cache.write("k", fig.intro, gens, set())
+        assert cache.read("k", fig.intro) == set(gens)
+        nine = ObjectId(b"\x09" * 20)
+        cache.write("k", fig.intro, {nine: 0xFFFFFFFF}, set(gens))
+        cached = cache.read("k", fig.intro)
+        assert cached == set(gens) | {nine}
+        assert [cached.generation(oid) for oid in (*gens, nine, fig.a)] == [
+            1, 2, 3, 0xFFFFFFFF, None]
 
     def test_cache_file_format(self, tmp_path):
         fig = fixtures.fig4()
         state = str(tmp_path / "state")
         cache = AuthCache(state)
-        first = [ObjectId(bytes([i]) * 20) for i in (3, 1)]
+        first = {ObjectId(b"\x03" * 20): 3, ObjectId(b"\x01" * 20): 0x1A}
         second = ObjectId(b"\x02" * 20)
-        cache.write("deadbeef", fig.intro, set(first), set())
-        cache.write("deadbeef", fig.intro, {second, first[0]}, set(first))
-        cache.write("deadbeef", fig.intro, {second}, set(first) | {second})
+        cache.write("deadbeef", fig.intro, first, set())
+        cache.write("deadbeef", fig.intro, {second: 2, **first}, set(first))
+        cache.write("deadbeef", fig.intro, {second: 2}, set(first) | {second})
+        # A number past 8 hex digits is not recorded.
+        cache.write("deadbeef", fig.intro, {fig.b: 1 << 32}, set(first) | {second})
         with open(os.path.join(state, "authentication", "deadbeef")) as fh:
             lines = fh.read().splitlines()
-        assert lines[0] == f"introduction {fig.a.hex} {fig.alice.fingerprint.hex}"
+        assert lines[0] == (
+            f"introduction {fig.a.hex} {fig.alice.fingerprint.hex} generations")
         # the first batch in any order, then only the new id appended
-        assert sorted(lines[1:3]) == sorted(oid.hex for oid in first)
-        assert lines[3:] == [second.hex]
+        assert sorted(lines[1:3]) == sorted(f"{oid.hex} {gen:08x}" for oid, gen in first.items())
+        assert lines[3:] == [f"{second.hex} 00000002"]
 
     def test_headerless_cache_counts_as_empty(self, tmp_path):
         fig = fixtures.fig4()
@@ -735,11 +789,45 @@ class TestCache:
         assert options.cache.read(key, fig.intro) == recorded
         assert authenticate_repository(fig.store, fig.intro, fig.f, options).checked == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(["flip", "insert", "delete"]), st.integers(0, 10_000),
+                  st.sampled_from(b"0123456789abcdefABG \n\r\x00")),
+        min_size=1, max_size=4))
+    def test_reader_accepts_exactly_the_line_grammar(self, tmp_path_factory, edits):
+        # The byte-level checks accept a body iff every line is an id in
+        # 40 lowercase hex digits, a space and 8 lowercase hex digits.
+        fig = fixtures.fig4()
+        cache = AuthCache(str(tmp_path_factory.mktemp("state")))
+        cache.write("k", fig.intro, {ObjectId(bytes([i]) * 20): i for i in range(4)}, set())
+        path = cache._path("k")
+        with open(path, "rb") as fh:
+            header, _, body = fh.read().partition(b"\n")
+        body = bytearray(body)
+        for op, pos, byte in edits:
+            pos %= len(body) + 1
+            if op == "flip" and pos < len(body):
+                body[pos] = byte
+            elif op == "insert":
+                body.insert(pos, byte)
+            elif op == "delete":
+                del body[pos:pos + 1]
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n" + body)
+        lines = bytes(body).split(b"\n")
+        expected = {}
+        if lines[-1] == b"" and all(re.fullmatch(rb"[0-9a-f]{40} [0-9a-f]{8}", line)
+                                    for line in lines[:-1]):
+            expected = {ObjectId.from_hex(line[:40]): int(line[41:], 16)
+                        for line in lines[:-1]}
+        cached = cache.read("k", fig.intro)
+        assert {oid: cached.generation(oid) for oid in cached} == expected
+
     def test_cache_read_is_a_read_only_set(self, tmp_path):
         fig = fixtures.fig4()
         cache = AuthCache(str(tmp_path / "state"))
         ids = {ObjectId(bytes([i]) * 20) for i in range(3)}
-        cache.write("k", fig.intro, ids, set())
+        cache.write("k", fig.intro, dict.fromkeys(ids, 1), set())
         cached = cache.read("k", fig.intro)
         assert len(cached) == 3 and ObjectId(b"\x01" * 20) in cached
         assert ObjectId(b"\x07" * 20) not in cached and "not an id" not in cached

@@ -1,14 +1,21 @@
 """Channel specs, metadata, fast-forward verdicts, provenance."""
 
+import os
+import random
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gitvouch.authgraph import AuthCache, AuthOptions, authenticate_repository
+from gitvouch.authgraph import (
+    AuthCache,
+    AuthOptions,
+    ChannelIntroduction,
+    authenticate_repository,
+)
 from gitvouch import channel
-from gitvouch.authz import BadVersion
+from gitvouch.authz import BadVersion, parse_authorizations
 from gitvouch.channel import (
     ChannelMetadata,
     FastForwardVerdict,
@@ -23,7 +30,8 @@ from gitvouch.channel import (
     provenance_write,
     staleness_check,
 )
-from gitvouch.gitstore import ObjectId
+from gitvouch.errors import VouchError
+from gitvouch.gitstore import MemoryStore, ObjectId, graph
 from gitvouch.sexp import SexpSyntaxError
 from gitvouch.sigverify import Fingerprint
 
@@ -195,6 +203,215 @@ class TestFastForward:
             verdict = fast_forward_check(store, baseline, chain.ids[-1], report.ancestors)
             assert verdict is FastForwardVerdict.FAST_FORWARD
         assert store.reads == 0
+
+
+def _history(store) -> tuple[list[ObjectId], dict[ObjectId, tuple[ObjectId, ...]]]:
+    """Every commit in ``store`` (sorted by id) and its parents."""
+    ids = sorted(oid for oid, obj in store.objects() if obj.kind == "commit")
+    return ids, {oid: graph.read_commit(store, oid).parents for oid in ids}
+
+
+def _brute_verdict(store, current: ObjectId, target: ObjectId) -> FastForwardVerdict:
+    if current == target:
+        return FastForwardVerdict.SAME
+    if current in fixtures._closure(store, target):
+        return FastForwardVerdict.FAST_FORWARD
+    if target in fixtures._closure(store, current):
+        return FastForwardVerdict.DOWNGRADE
+    return FastForwardVerdict.UNRELATED
+
+
+def _brute_generations(store, intro: ObjectId) -> dict[ObjectId, int]:
+    """The longest path from ``intro`` to each of its descendants, over
+    its descendants only."""
+    ids, parents = _history(store)
+    cone = {oid for oid in ids if intro in fixtures._closure(store, oid)}
+    gens = {intro: 0}
+
+    def gen(oid):
+        if oid not in gens:
+            gens[oid] = 1 + max(gen(p) for p in parents[oid] if p in cone)
+        return gens[oid]
+
+    for oid in cone:
+        gen(oid)
+    return gens
+
+
+class TestGenerations:
+    """Generation numbers in the cache only prune the walks of
+    ``fast_forward_check``: true numbers keep every verdict, and false
+    ones can only turn a verdict into a refusal."""
+
+    def cached_chain(self, tmp_path, n: int):
+        chain = fixtures.linear_chain(n)
+        options = AuthOptions(cache=AuthCache(str(tmp_path / "state")))
+        authenticate_repository(chain.store, chain.intro, chain.ids[-1], options)
+        return chain, options
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 50, 199])
+    def test_downgrade_reads_at_most_the_gap(self, tmp_path, k):
+        chain, options = self.cached_chain(tmp_path, 200)
+        store = fixtures.CountingStore(chain.store)
+        older = chain.ids[-1 - k]
+        report = authenticate_repository(store, chain.intro, older, options)
+        assert report.generation(chain.ids[-1]) == 199 and report.generation(older) == 199 - k
+        store.reads = 0
+        verdict = fast_forward_check(store, chain.ids[-1], older, report.ancestors,
+                                     report.generation)
+        assert verdict is FastForwardVerdict.DOWNGRADE
+        assert store.reads <= k + 1
+
+    @pytest.mark.parametrize("shape", ["forked before the introduction", "foreign root"])
+    def test_downgrade_past_an_unnumbered_branch_reads_the_gap_of_it(self, tmp_path, shape):
+        # A 150-commit branch the cache does not number, merged as the
+        # second parent 10 commits below the tip: a branch forked from
+        # the introduction's parent, or an unrelated root's history. A
+        # downgrade 20 back reads about 20 levels of it, not all of it.
+        alice = fixtures.key("alice")
+        store = MemoryStore()
+        fixtures.add_keyring_branch(store, [alice])
+        files = {".guix-authorizations": fixtures.authz_bytes(alice)}
+        sign = fixtures.signer(alice)
+        fork = store.commit_files(files, [], message="fork\n", sign_with=sign)
+        main = [store.commit_files(files, [fork], message="intro\n", sign_with=sign)]
+        side = [] if shape == "foreign root" else [fork]
+        for i in range(150):
+            side = [store.commit_files(files, side, message=f"side {i}\n", sign_with=sign)]
+        for i in range(40):
+            parents = [main[-1]] + (side if i == 30 else [])
+            main.append(store.commit_files(files, parents, message=f"main {i}\n",
+                                           sign_with=sign))
+        intro = ChannelIntroduction(main[0], alice.fingerprint)
+        options = AuthOptions(cache=AuthCache(str(tmp_path / "state")),
+                              historical_authorizations=parse_authorizations(
+                                  fixtures.authz_bytes(alice)))
+        authenticate_repository(store, intro, main[-1], options)
+        report = authenticate_repository(store, intro, main[-21], options)
+        assert report.generation(side[0]) is None
+        counting = fixtures.CountingStore(store)
+        verdict = fast_forward_check(counting, main[-1], main[-21], report.ancestors,
+                                     report.generation)
+        assert verdict is FastForwardVerdict.DOWNGRADE
+        # 10 commits above the merge, then two per level down to the
+        # target's child.
+        assert counting.reads <= 10 + 2 * 10
+
+    def test_hidden_fast_forward_reads_at_most_the_gap(self, tmp_path):
+        chain, options = self.cached_chain(tmp_path, 200)
+        store = fixtures.CountingStore(chain.store)
+        baseline = chain.ids[150]
+        report = authenticate_repository(store, chain.intro, chain.ids[-1], options)
+        assert baseline not in report.ancestors
+        store.reads = 0
+        verdict = fast_forward_check(store, baseline, chain.ids[-1], report.ancestors,
+                                     report.generation)
+        assert verdict is FastForwardVerdict.FAST_FORWARD
+        assert store.reads <= 49 + 1
+
+    def test_unrelated_tip_walks_only_between_the_generations(self, tmp_path):
+        # fig4's generations: a 0, b 1, c 2, d 3, e 2, f 4 (d's parent is
+        # c, e's is b, f merges d and e).
+        fig = fixtures.fig4()
+        options = AuthOptions(cache=AuthCache(str(tmp_path / "state")))
+        authenticate_repository(fig.store, fig.intro, fig.f, options)
+        store = fixtures.CountingStore(fig.store)
+        reads = {}
+        for current, target in ((fig.c, fig.e), (fig.e, fig.c), (fig.d, fig.e),
+                                (fig.e, fig.d), (fig.f, fig.c), (fig.c, fig.b)):
+            report = authenticate_repository(store, fig.intro, target, options)
+            store.reads = 0
+            verdict = fast_forward_check(store, current, target, report.ancestors,
+                                         report.generation)
+            assert verdict is _brute_verdict(fig.store, current, target)
+            reads[current, target] = store.reads
+        # Equal numbers read only the baseline, to see that it exists; a
+        # walk reads nothing numbered at or below the commit it looks for.
+        assert reads == {(fig.c, fig.e): 1, (fig.e, fig.c): 1, (fig.d, fig.e): 1,
+                         (fig.e, fig.d): 2, (fig.f, fig.c): 2, (fig.c, fig.b): 1}
+
+    @pytest.mark.parametrize("corruption", ["raise", "lower", "swap", "zero", "max", "shuffle"])
+    def test_false_generations_never_accept_a_downgrade(self, tmp_path, corruption):
+        # 30 commits, each on one or two earlier ones, all signed by alice.
+        alice = fixtures.key("alice")
+        store = MemoryStore()
+        fixtures.add_keyring_branch(store, [alice])
+        files = {".guix-authorizations": fixtures.authz_bytes(alice)}
+        rng = random.Random(20261020)
+        ids: list[ObjectId] = []
+        for i in range(30):
+            parents = rng.sample(ids, min(len(ids), rng.choice([1, 1, 2])))
+            ids.append(store.commit_files(files, parents, message=f"{i}\n",
+                                          sign_with=fixtures.signer(alice)))
+        intro = ChannelIntroduction(ids[0], alice.fingerprint)
+        options = AuthOptions(cache=AuthCache(str(tmp_path / "state")))
+        for oid in ids:
+            authenticate_repository(store, intro, oid, options)
+        path = options.cache._path(AuthCache.key_for(intro))
+        with open(path, "rb") as fh:
+            header, *lines = fh.read().decode().splitlines()
+        assert len(lines) == 29
+        gens = [int(line[41:], 16) for line in lines]
+        gens = {
+            "raise": [g + 5 for g in gens],
+            "lower": [max(g - 5, 0) for g in gens],
+            "swap": [gens[-1 - i] for i in range(len(gens))],
+            "zero": [0] * len(gens),
+            "max": [0xFFFFFFFF] * len(gens),
+            "shuffle": random.Random(7).sample(gens, len(gens)),
+        }[corruption]
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            fh.writelines(f"{line[:40]} {g:08x}\n" for line, g in zip(lines, gens))
+
+        refused = {FastForwardVerdict.DOWNGRADE, FastForwardVerdict.UNRELATED}
+        downgrades = 0
+        for target in ids:
+            report = authenticate_repository(store, intro, target, options)
+            assert report.checked == 0
+            for current in ids:
+                if target in fixtures._closure(store, current) and current != target:
+                    verdict = fast_forward_check(store, current, target,
+                                                 report.ancestors, report.generation)
+                    assert verdict in refused
+                    downgrades += 1
+        assert downgrades >= 50
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_generations_keep_every_verdict(self, tmp_path_factory, seed):
+        repo = fixtures.random_repository(random.Random(seed), max_commits=16)
+        state = tmp_path_factory.mktemp("state")
+        options = AuthOptions(cache=AuthCache(str(state)),
+                              historical_authorizations=repo.historical)
+        ids, _ = _history(repo.store)
+        for oid in random.Random(seed).sample(ids, len(ids)):
+            try:
+                authenticate_repository(repo.store, repo.intro, oid, options)
+            except VouchError:
+                pass
+        cached = options.cache.read(AuthCache.key_for(repo.intro), repo.intro)
+        truth = _brute_generations(repo.store, repo.intro.commit)
+        assert {oid: cached.generation(oid) for oid in cached} == {
+            oid: truth[oid] for oid in cached}
+
+        def generation(oid):
+            return 0 if oid == repo.intro.commit else cached.generation(oid)
+
+        store = fixtures.CountingStore(repo.store)
+        for current in ids:
+            for target in ids:
+                expected = _brute_verdict(repo.store, current, target)
+                assert fast_forward_check(repo.store, current, target) is expected
+                store.reads_by_id.clear()
+                assert fast_forward_check(store, current, target, frozenset(),
+                                          generation) is expected
+                # A pruned walk reads no commit numbered at or below the
+                # lower of the two tips, but for ``current`` itself.
+                gens = [generation(current), generation(target)]
+                if None not in gens:
+                    assert all(generation(oid) is None or generation(oid) > min(gens)
+                               for oid in store.reads_by_id if oid != current)
 
 
 class TestStaleness:

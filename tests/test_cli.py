@@ -359,13 +359,15 @@ class TestUpdateCommand:
                 "--state-dir", state_dir]
         assert cli.main(args) == 0  # baseline at c
         capsys.readouterr()
-        # A cache with a valid header that claims every commit, the
-        # baseline included, so no walk in authentication reaches c.
+        # A cache in the current format, with true generation numbers,
+        # that claims every commit, the baseline included, so no walk in
+        # authentication reaches c.
         intro = repo["intro"]
         cache = os.path.join(state_dir, "authentication", AuthCache.key_for(intro))
         with open(cache, "w") as fh:
-            fh.write(f"introduction {intro.commit.hex} {intro.signer.hex}\n")
-            fh.writelines(repo[k].hex + "\n" for k in "abcd")
+            fh.write(f"introduction {intro.commit.hex} {intro.signer.hex} generations\n")
+            fh.writelines(f"{repo[k].hex} {gen:08x}\n" for k, gen in zip("abcd", (0, 1, 2, 2)))
+        assert len(AuthCache(state_dir).read(AuthCache.key_for(intro), intro)) == 4
         set_branch(repo["path"], "master", repo["b"])
         assert cli.main(args) == 2
         assert "refusing downgrade" in capsys.readouterr().err
@@ -374,6 +376,38 @@ class TestUpdateCommand:
         assert "unrelated" in capsys.readouterr().err
         record = channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan")
         assert record.commit == repo["c"]
+
+    @pytest.mark.parametrize("gens", [
+        {"a": 0, "b": 3, "c": 2, "d": 1},  # downgrade and side branch inverted
+        {"a": 9, "b": 2, "c": 2, "d": 2},  # all equal
+        {"a": 0, "b": 0, "c": 0xFFFFFFFF, "d": 0xFFFFFFFF},
+    ], ids=["inverted", "equal", "extreme"])
+    def test_hostile_generations_cannot_accept_downgrade(
+            self, tmp_path, state_dir, capsys, gens):
+        repo = make_update_repo(tmp_path)
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+        args = ["update", "--repository", repo["path"], "--channels", channels,
+                "--state-dir", state_dir]
+        assert cli.main(args) == 0  # baseline at c
+        # A cache in the current format that claims every commit, with
+        # false generation numbers.
+        intro = repo["intro"]
+        cache = os.path.join(state_dir, "authentication", AuthCache.key_for(intro))
+        with open(cache, "w") as fh:
+            fh.write(f"introduction {intro.commit.hex} {intro.signer.hex} generations\n")
+            fh.writelines(f"{repo[k].hex} {gen:08x}\n" for k, gen in gens.items())
+        for tip in ("b", "d", "a"):
+            set_branch(repo["path"], "master", repo[tip])
+            capsys.readouterr()
+            assert cli.main(args) == 2
+            # False numbers may only turn a downgrade into "unrelated".
+            err = capsys.readouterr().err
+            assert "refusing downgrade" in err or "is unrelated" in err
+        record = channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan")
+        assert record.commit == repo["c"]
+        assert len(AuthCache(state_dir).read(AuthCache.key_for(intro), intro)) == 4
 
     def test_fast_forward_hidden_behind_cached_id(self, tmp_path, state_dir, capsys):
         repo = make_update_repo(tmp_path)

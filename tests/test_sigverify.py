@@ -42,7 +42,7 @@ from gitvouch.sigverify import (
 
 import crc24_reference
 import fixtures
-from openpgp_writer import armor, export_public, sign_for_tests
+from openpgp_writer import armor, bind_subkey, export_public, packet, sign_for_tests
 from gitvouch.errors import VouchError
 from gitvouch.sigverify import ed25519
 from gitvouch.sigverify.armor import (
@@ -50,6 +50,7 @@ from gitvouch.sigverify.armor import (
     SIGNATURE,
     crc24,
 )
+from gitvouch.sigverify.packets import HASH_SHA1, TAG_PUBLIC_KEY, TAG_PUBLIC_SUBKEY
 from gitvouch.sigverify.verify import PROOF_SIZE, ed25519_proof
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -389,6 +390,17 @@ class TestLoadKeys:
         keys = load_keys(dearmor(read("alice.asc"), PUBLIC_KEY_BLOCK))
         assert keys[0].fingerprint.hex.upper() == ALICE_FPR
 
+    def test_key_file_with_leading_text(self):
+        # Bytes that do not start with a packet tag are text: anything
+        # before the BEGIN line is ignored, as in a str.
+        text = "pub key of alice\n" + read("alice.asc")
+        for data in (text, text.encode()):
+            assert [k.fingerprint.hex.upper() for k in load_keys(data)] == [ALICE_FPR]
+        with pytest.raises(NoKeyFound):
+            load_keys(b"no key in here\n")
+        with pytest.raises(NoKeyFound):
+            load_keys(b"")
+
     def test_user_id_only_is_no_key(self):
         uid_packet = bytes([0xC0 | 13, 4]) + b"a@b "
         with pytest.raises(NoKeyFound):
@@ -625,6 +637,67 @@ class TestSubkeySignature:
         assert result.key_fingerprint == sub.fingerprint
         assert result.primary_fingerprint == primary.fingerprint
         assert verify_detailed(sig, b"payload\n", ring).primary_fingerprint == primary.fingerprint
+
+
+class TestSubkeyBinding:
+    """A subkey counts only when a binding signature by its primary
+    follows it (RFC 9580 §5.2.4)."""
+
+    PAYLOAD = b"payload\n"
+
+    def setup_method(self):
+        self.primary = fixtures.key("carol")
+        self.sub = fixtures.key("carol-sub")
+        self.sig = first_signature(sign_for_tests(self.PAYLOAD, self.sub))
+
+    def test_bound_subkey_verifies_and_reports_its_primary(self):
+        keys = load_keys(export_public(self.primary, subkeys=(self.sub,)))
+        assert [k.fingerprint for k in keys] == [self.primary.fingerprint, self.sub.fingerprint]
+        assert keys[1].primary_fingerprint == self.primary.fingerprint
+        result = verify_detailed(self.sig, self.PAYLOAD, Keyring(keys))
+        assert result.key_fingerprint == self.sub.fingerprint
+        assert result.primary_fingerprint == self.primary.fingerprint
+
+    def test_rsa_primary_binds_an_ed25519_subkey(self):
+        rita = fixtures.RsaTestKey(bits=1024)
+        binary = rita.export_binary() + bind_subkey(rita, self.sub)
+        keys = load_keys(binary)
+        assert [k.primary_fingerprint for k in keys] == [rita.fingerprint] * 2
+        result = verify_detailed(self.sig, self.PAYLOAD, Keyring(keys))
+        assert result.primary_fingerprint == rita.fingerprint
+
+    @pytest.mark.parametrize("case", [
+        "no signature", "signed by another key", "certification type",
+        "sha1", "binds another subkey", "damaged signature",
+    ])
+    def test_unbound_subkey_is_skipped(self, case, caplog):
+        other = fixtures.key("mallory")
+        subkey = packet(TAG_PUBLIC_SUBKEY, self.sub.key_packet_body)
+        bound = bind_subkey(self.primary, self.sub)
+        tail = {
+            "no signature": subkey,
+            # mallory's binding, placed under carol's primary
+            "signed by another key": bind_subkey(other, self.sub),
+            "certification type": bind_subkey(self.primary, self.sub, sig_type=0x13),
+            "sha1": bind_subkey(self.primary, self.sub, hash_id=HASH_SHA1),
+            "binds another subkey": (
+                subkey + bind_subkey(self.primary, other)[len(subkey):]),
+            "damaged signature": bound[:-3] + bytes([bound[-3] ^ 1]) + bound[-2:],
+        }[case]
+        with caplog.at_level("WARNING"):
+            keys = load_keys(packet(TAG_PUBLIC_KEY, self.primary.key_packet_body) + tail)
+        assert [k.fingerprint for k in keys] == [self.primary.fingerprint]
+        assert "no valid binding signature" in caplog.text
+        with pytest.raises(UnknownKey):
+            verify_detailed(self.sig, self.PAYLOAD, Keyring(keys))
+
+    def test_a_binding_signature_does_not_verify_a_commit(self):
+        # A type 0x18 signature is not a signature over a document.
+        bound = bind_subkey(self.primary, self.sub)
+        binding = [p for p in parse_packets(bound) if isinstance(p, SignaturePacket)][0]
+        ring = Keyring(load_keys(export_public(self.primary)))
+        with pytest.raises(Unsupported):
+            verify_detailed(binding, self.PAYLOAD, ring)
 
 
 class TestIgnoredOpenPGPFeatures:
