@@ -20,9 +20,11 @@ import signal
 import struct
 import tempfile
 import threading
+import time
 from binascii import hexlify
 from collections.abc import Callable, Container, Iterator, Mapping, Set
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from gitvouch import authz
 from gitvouch.errors import VouchError
@@ -359,21 +361,16 @@ def load_keyring(store, keyring_ref: str = DEFAULT_KEYRING_REF) -> Keyring:
     return keyring
 
 
-def _signature_packet(commit: Commit) -> SignaturePacket:
-    if commit.signature is None:
-        raise Unsigned("commit is not signed")
-    packets = parse_packets(dearmor(commit.signature, SIGNATURE))
-    for packet in packets:
-        if isinstance(packet, SignaturePacket):
-            return packet
-    raise BadArmor("signature header carries no signature packet")
-
-
 def _verify_commit(
     commit: Commit, keyring: Keyring, proofs: Container[bytes] = frozenset()
 ) -> VerifiedSignature:
-    sig = _signature_packet(commit)
-    return verify_detailed(sig, signed_payload(commit), keyring, proofs=proofs)
+    """Verify the first signature packet of ``commit``'s signature."""
+    if commit.signature is None:
+        raise Unsigned("commit is not signed")
+    for packet in parse_packets(dearmor(commit.signature, SIGNATURE)):
+        if isinstance(packet, SignaturePacket):
+            return verify_detailed(packet, signed_payload(commit), keyring, proofs=proofs)
+    raise BadArmor("signature header carries no signature packet")
 
 
 def authenticate_commit(
@@ -426,7 +423,7 @@ def parent_authorizations(
     Without historical mode a missing file is fatal. A malformed policy
     file anywhere in history is always fatal, never skipped.
     """
-    return _AuthzReader(store, options).get(parent)[1]
+    return _AuthzReader(store, options).get(parent)[2]
 
 
 class _AuthzReader:
@@ -454,13 +451,16 @@ class _AuthzReader:
     def policies_parsed(self) -> int:
         return len(self._by_blob)
 
-    def get(self, parent: ObjectId) -> tuple[ObjectId | None, frozenset[Fingerprint]]:
-        """The id of ``parent``'s policy blob and the fingerprints it
-        authorizes; the id is None for the historical list."""
+    def get(
+        self, parent: ObjectId
+    ) -> tuple[ObjectId, ObjectId | None, frozenset[Fingerprint]]:
+        """``parent``, the id of its policy blob and the fingerprints it
+        authorizes, as :func:`authenticate_commit` takes them; the id is
+        None for the historical list."""
         commit = self._commit(parent)
         blob_id = self._policy(parent, commit.tree)
         if blob_id is not None:
-            return blob_id, self._by_blob[blob_id]
+            return parent, blob_id, self._by_blob[blob_id]
         # Guix's assert-parents-lack-authorizations.
         for grandparent in commit.parents:
             if self._policy(grandparent, self._commit(grandparent).tree) is not None:
@@ -473,7 +473,8 @@ class _AuthzReader:
                 f"commit {parent} lacks {authz.AUTHORIZATIONS_FILE} "
                 "(use historical authorizations for pre-policy history)"
             ).annotate(parent.hex)
-        return None, authz.authorized_fingerprints(self.options.historical_authorizations)
+        return parent, None, authz.authorized_fingerprints(
+            self.options.historical_authorizations)
 
     def _commit(self, oid: ObjectId) -> Commit:
         commit = self._commits.get(oid)
@@ -520,6 +521,9 @@ HELPER_MIN_COMMITS = 128
 # One record per commit the helper proved: the commit's index in the
 # run's list, then its Ed25519 proof.
 _RECORD = struct.Struct(f">I{PROOF_SIZE}s")
+
+# Least time between two reads of the helper's pipe: a few commits.
+_POLL_S = 0.0003
 
 
 class _Proofs(set):
@@ -591,11 +595,18 @@ class _Helper:
             self.stop()
             raise
         self._partial = b""
+        self._next_read = 0.0
         self.reached = len(commits)  # the lowest index proved so far
 
     def poll(self, proofs: set[bytes]) -> bool:
         """Add the records sent so far to ``proofs``; False once the
-        helper has closed its end."""
+        helper has closed its end. The pipe is read at most once per
+        :data:`_POLL_S`, since a read that finds nothing costs a raised
+        exception, more than the Python work of checking a commit."""
+        now = time.perf_counter()
+        if now < self._next_read:
+            return True
+        self._next_read = now + _POLL_S
         try:
             data = os.read(self._fd, 1 << 16)
         except BlockingIOError:
@@ -662,13 +673,13 @@ def authenticate_repository(
     commits = graph.commit_difference(store, target, stop)
     walked = len(commits)
     reached = {p for c in commits for p in c.parents if p in stop} if commits else {target}
-    ancestors = frozenset(c.id for c in commits) | reached
+    ancestors = frozenset(map(attrgetter("id"), commits)) | reached
     if not reached:
         raise NotDescendantOfIntroduction(
             f"target {target} is not a descendant of the introductory "
             f"commit {intro.commit}"
         ).annotate(target.hex)
-    if any(not c.parents for c in commits):
+    if not all(map(attrgetter("parents"), commits)):
         # The walk reached a root other than the introduction, through a
         # branch forked before it or a merged unrelated history. The
         # introduction's ancestors are trusted: drop them.
@@ -726,7 +737,7 @@ def authenticate_repository(
                 helper = None
             cid = commit.id
             try:
-                parent_sets = [(p, *reader.get(p)) for p in commit.parents]
+                parent_sets = list(map(reader.get, commit.parents))
                 signers[cid] = authenticate_commit(
                     commit, keyring, parent_sets or [(None, None, defaults)], proofs=proofs)
             except VouchError as exc:

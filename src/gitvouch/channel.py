@@ -358,20 +358,37 @@ def provenance_read(path: str, name: str) -> ProvenanceRecord | None:
     return None
 
 
-def provenance_write(path: str, record: ProvenanceRecord) -> None:
+def provenance_write(
+    path: str,
+    record: ProvenanceRecord,
+    refuse: Callable[[ProvenanceRecord | None], str | None] | None = None,
+) -> str | None:
     """Atomically merge one record into the file, keyed by channel name;
     records for other channels are preserved.
 
-    The read, merge and replace hold an exclusive ``flock`` on
-    ``<path>.lock``, so runs sharing a state directory never write back
-    each other's old records. The lock is a file of its own because
-    replacing the provenance file gives it a new inode.
+    ``refuse``, when given, is called with the record the file holds for
+    the channel (None when there is none) and returns a reason to leave
+    the file as it is, or None. Then nothing is written and the reason
+    is returned; otherwise the result is None.
+
+    The read, the call of ``refuse``, the merge and the replace hold one
+    exclusive ``flock`` on ``<path>.lock``, so runs sharing a state
+    directory never write back each other's old records, and an update
+    that checks its target against the recorded one cannot be overtaken
+    between the check and the write. The lock is a file of its own
+    because replacing the provenance file gives it a new inode.
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     with open(path + ".lock", "ab") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        records = [r for r in provenance_read_all(path) if r.name != record.name]
+        records = provenance_read_all(path)
+        if refuse is not None:
+            current = next((r for r in records if r.name == record.name), None)
+            reason = refuse(current)
+            if reason is not None:
+                return reason
+        records = [r for r in records if r.name != record.name]
         records.append(record)
         forms: list = [Atom("provenance"), [Atom("version"), Atom("0")]]
         forms.extend(_record_form(r) for r in records)
@@ -387,6 +404,7 @@ def provenance_write(path: str, record: ProvenanceRecord) -> None:
             except OSError:
                 pass
             raise
+    return None
 
 
 def make_record(

@@ -146,17 +146,27 @@ def cmd_update(args: argparse.Namespace) -> int:
         raise UsageError(f"branch '{args.branch}': {exc}") from exc
 
     # The keyring branch may be named by the channel metadata; an
-    # explicit --keyring beats it.
-    metadata = channel.read_channel_metadata(repo, tip)
+    # explicit --keyring beats it. The tip is not authenticated yet, so
+    # metadata it cannot parse only falls back to the default keyring:
+    # the verdict on the tip comes first, and the parse error counts
+    # only once the tip is authentic.
     keyring_ref = "refs/heads/keyring"
-    if metadata.keyring_ref:
-        keyring_ref = _normalize_ref(metadata.keyring_ref)
+    try:
+        metadata = channel.read_channel_metadata(repo, tip)
+    except VouchError as exc:
+        metadata, unreadable = None, exc
+    else:
+        unreadable = None
+        if metadata.keyring_ref:
+            keyring_ref = _normalize_ref(metadata.keyring_ref)
     if args.keyring:
         keyring_ref = _normalize_ref(args.keyring)
 
     report = _authenticate(args, repo, spec.introduction, tip, keyring_ref=keyring_ref)
     if report is None:
         return EXIT_AUTH_FAILURE
+    if unreadable is not None:
+        raise unreadable
 
     # Metadata was re-read from a now-authenticated commit, so the
     # primary URL it names can be trusted.
@@ -164,10 +174,9 @@ def cmd_update(args: argparse.Namespace) -> int:
     if warning is not None:
         print(f"gitvouch: warning: channel '{spec.name}': {warning}", file=sys.stderr)
 
-    state_dir = args.state_dir or default_state_dir()
-    provenance_path = os.path.join(state_dir, "provenance")
-    baseline = channel.provenance_read(provenance_path, spec.name)
-    if baseline is not None:
+    def refuse(baseline: channel.ProvenanceRecord | None) -> str | None:
+        if baseline is None:
+            return None
         try:
             verdict = channel.fast_forward_check(
                 repo, baseline.commit, tip, report.ancestors, report.generation
@@ -176,26 +185,28 @@ def cmd_update(args: argparse.Namespace) -> int:
             # Baseline commit missing from this clone: treat like
             # divergent history rather than silently proceeding.
             verdict = channel.FastForwardVerdict.UNRELATED
-        if verdict is channel.FastForwardVerdict.DOWNGRADE and not args.allow_downgrades:
-            print(
-                f"gitvouch: error: refusing downgrade: target {tip.hex} is an "
-                f"ancestor of the previously deployed {baseline.commit.hex} "
-                "(use --allow-downgrades to override)",
-                file=sys.stderr,
-            )
-            return EXIT_UPDATE_REFUSED
-        if verdict is channel.FastForwardVerdict.UNRELATED and not args.allow_downgrades:
-            print(
-                f"gitvouch: error: target {tip.hex} is unrelated to the "
-                f"previously deployed {baseline.commit.hex} "
-                "(use --allow-downgrades to override)",
-                file=sys.stderr,
-            )
-            return EXIT_UPDATE_REFUSED
+        if args.allow_downgrades:
+            return None
+        if verdict is channel.FastForwardVerdict.DOWNGRADE:
+            return (f"refusing downgrade: target {tip.hex} is an ancestor of the "
+                    f"previously deployed {baseline.commit.hex}")
+        if verdict is channel.FastForwardVerdict.UNRELATED:
+            return (f"target {tip.hex} is unrelated to the previously deployed "
+                    f"{baseline.commit.hex}")
+        return None
 
-    channel.provenance_write(
-        provenance_path, channel.make_record(spec, args.branch, tip)
+    # One lock covers the baseline read, the check against it and the
+    # write, so a concurrent update of the channel cannot slip between.
+    state_dir = args.state_dir or default_state_dir()
+    refused = channel.provenance_write(
+        os.path.join(state_dir, "provenance"),
+        channel.make_record(spec, args.branch, tip),
+        refuse,
     )
+    if refused is not None:
+        print(f"gitvouch: error: {refused} (use --allow-downgrades to override)",
+              file=sys.stderr)
+        return EXIT_UPDATE_REFUSED
     print(
         f"gitvouch: channel '{spec.name}' updated to {tip.hex} "
         f"(branch {args.branch})",

@@ -13,8 +13,9 @@ from collections.abc import Callable, Container, Iterator
 from gitvouch.gitstore.objects import (
     Commit,
     ObjectId,
+    checked_id,
     parse_commit,
-    parse_tree,
+    tree_entries,
 )
 
 
@@ -134,12 +135,21 @@ def path_entry(store, tree: ObjectId, path: str) -> ObjectId | None:
     The id is not read, so the caller decides what an id that is not a
     blob means.
     """
-    parts = [p for p in path.split("/") if p]
+    try:
+        # Tree names are read as UTF-8 with surrogate escapes, so a
+        # component that does not encode back names no entry.
+        parts = [p.encode("utf-8", "surrogateescape") for p in path.split("/") if p]
+    except UnicodeEncodeError:
+        return None
     for i, part in enumerate(parts):
-        entries = {e.name: e for e in parse_tree(store.read_object(tree).payload)}
-        entry = entries.get(part)
-        # Every component but the last must name a tree; the last must not.
-        if entry is None or entry.is_tree == (i == len(parts) - 1):
+        entries = tree_entries(store.read_object(tree).payload)
+        for mode, name, raw in entries:
+            if name == part:
+                break
+        else:
             return None
-        tree = entry.id
+        # Every component but the last must name a tree; the last must not.
+        if (mode == b"40000") == (i == len(parts) - 1):
+            return None
+        tree = checked_id((raw,))
     return tree if parts else None

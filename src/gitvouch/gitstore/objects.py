@@ -7,11 +7,12 @@ bytes its signature covers are the payload with that range cut out.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from binascii import unhexlify
-from dataclasses import dataclass, field
+from functools import partial
+from hashlib import sha1
 from operator import itemgetter
+from typing import NamedTuple
 
 from gitvouch.errors import VouchError
 
@@ -88,27 +89,42 @@ class ObjectId(tuple):
         return f"ObjectId({self.hex})"
 
 
-@dataclass(frozen=True)
-class RawObject:
-    """An object as stored: its kind and uncompressed payload."""
-
+class _RawObject(NamedTuple):
     kind: str
     payload: bytes
 
-    def __post_init__(self) -> None:
-        if self.kind not in OBJECT_KINDS:
-            raise ValueError(f"unknown object kind {self.kind!r}")
+
+class RawObject(_RawObject):
+    """An object as stored: its kind and uncompressed payload.
+
+    A tuple, like :class:`ObjectId`; the constructor checks the kind.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, payload: bytes) -> "RawObject":
+        if kind not in OBJECT_KINDS:
+            raise ValueError(f"unknown object kind {kind!r}")
+        return tuple.__new__(cls, (kind, payload))
+
+
+# The trusted factories: each builds its type from fields a reader has
+# already checked (a digest, an id its grammar matched, a kind both
+# object readers return) without running the constructor's check again.
+# They take the fields as one tuple, ``checked_id((raw,))``, and run in
+# C; every other caller goes through the checking constructors.
+checked_id = partial(tuple.__new__, ObjectId)
+checked_object = partial(tuple.__new__, RawObject)
 
 
 def hash_object(kind: str, payload: bytes) -> ObjectId:
     """Object id: SHA-1 over ``"<kind> <len>\\0"`` + payload."""
-    h = hashlib.sha1(b"%s %d\x00" % (kind.encode("ascii"), len(payload)))
+    h = sha1(b"%s %d\x00" % (kind.encode("ascii"), len(payload)))
     h.update(payload)
-    return ObjectId(h.digest())
+    return checked_id((h.digest(),))
 
 
-@dataclass(frozen=True)
-class TreeEntry:
+class TreeEntry(NamedTuple):
     mode: str
     name: str
     id: ObjectId
@@ -118,33 +134,61 @@ class TreeEntry:
         return self.mode == "40000"
 
 
-def parse_tree(payload: bytes) -> list[TreeEntry]:
-    """Parse a tree payload: ``<mode> <name>\\0<20-byte id>`` records."""
-    entries = []
+# One tree entry: ``<mode> <name>\\0<20-byte id>``. The mode is ASCII
+# without a space or a NUL, and the name any bytes without a NUL, so
+# each entry ends where the one before it says, and the whole tree
+# matches in time linear in its length.
+_ENTRY = rb"([\x01-\x1f!-\x7f]*) ([^\x00]*)\x00(.{20})"
+_ENTRY_RE = re.compile(_ENTRY, re.DOTALL)
+_TREE_RE = re.compile(rb"(?:%s)*" % _ENTRY, re.DOTALL)
+_NAME = itemgetter(1)
+
+
+def tree_entries(payload: bytes) -> list[tuple[bytes, bytes, bytes]]:
+    """The ``(mode, name, raw id)`` byte strings of every entry of a tree
+    payload, in order, after checking the whole payload: every entry
+    whole, every mode ASCII, no name twice. Raises ``CorruptObject``
+    naming the first entry, in order, that breaks a rule."""
+    if _TREE_RE.fullmatch(payload) is not None:
+        entries = _ENTRY_RE.findall(payload)
+        if len(set(map(_NAME, entries))) == len(entries):
+            return entries
+    raise _tree_error(payload)
+
+
+def _tree_error(payload: bytes) -> CorruptObject:
+    """The error for a payload :func:`tree_entries` refuses."""
     seen: set[bytes] = set()
     pos = 0
-    while pos < len(payload):
-        space = payload.find(b" ", pos)
-        nul = payload.find(b"\x00", pos)
-        if space < 0 or nul < 0 or nul < space or nul + 21 > len(payload):
-            raise CorruptObject(f"truncated tree entry at offset {pos}")
-        name = payload[space + 1 : nul]
-        if name in seen:
-            raise CorruptObject(f"duplicate tree entry {name!r}")
-        seen.add(name)
-        try:
-            mode = payload[pos:space].decode("ascii")
-        except UnicodeDecodeError:
-            raise CorruptObject(f"non-ASCII mode in tree entry at offset {pos}") from None
-        entries.append(
-            TreeEntry(
-                mode=mode,
-                name=name.decode("utf-8", "surrogateescape"),
-                id=ObjectId(payload[nul + 1 : nul + 21]),
-            )
+    while True:
+        entry = _ENTRY_RE.match(payload, pos)
+        if entry is None:
+            break
+        if entry[2] in seen:
+            return CorruptObject(f"duplicate tree entry {entry[2]!r}")
+        seen.add(entry[2])
+        pos = entry.end()
+    # The entry at ``pos`` is cut short, or its mode is not ASCII.
+    space = payload.find(b" ", pos)
+    nul = payload.find(b"\x00", pos)
+    if space < 0 or nul < 0 or nul < space or nul + 21 > len(payload):
+        return CorruptObject(f"truncated tree entry at offset {pos}")
+    name = payload[space + 1 : nul]
+    if name in seen:
+        return CorruptObject(f"duplicate tree entry {name!r}")
+    return CorruptObject(f"non-ASCII mode in tree entry at offset {pos}")
+
+
+def parse_tree(payload: bytes) -> list[TreeEntry]:
+    """Parse a tree payload: ``<mode> <name>\\0<20-byte id>`` records."""
+    return [
+        TreeEntry(
+            mode=mode.decode("ascii"),
+            name=name.decode("utf-8", "surrogateescape"),
+            id=checked_id((raw,)),
         )
-        pos = nul + 21
-    return entries
+        for mode, name, raw in tree_entries(payload)
+    ]
 
 
 def serialize_tree(entries: list[TreeEntry]) -> bytes:
@@ -164,8 +208,7 @@ def serialize_tree(entries: list[TreeEntry]) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
-class Commit:
+class Commit(NamedTuple):
     """A parsed commit: what the authentication rule reads, and the raw
     payload.
 
@@ -178,8 +221,18 @@ class Commit:
     tree: ObjectId
     parents: tuple[ObjectId, ...]
     signature: str | None
-    raw_payload: bytes = field(repr=False)
-    gpgsig_span: tuple[int, int] | None = field(repr=False)
+    raw_payload: bytes
+    gpgsig_span: tuple[int, int] | None
+
+    def __repr__(self) -> str:
+        return (f"Commit(id={self.id!r}, tree={self.tree!r}, parents={self.parents!r}, "
+                f"signature={self.signature!r})")
+
+
+# Commit's factory for parse_commit, which builds one per commit read:
+# the fields in order, as one tuple, built in C rather than by the
+# NamedTuple's generated ``__new__``.
+_new_commit = partial(tuple.__new__, Commit)
 
 
 # The header block of a commit, through the empty line that ends it:
@@ -226,14 +279,15 @@ def parse_commit(obj: RawObject, oid: ObjectId | None = None) -> Commit:
         value = payload[start + len(b"gpgsig ") : stop - 1].replace(b"\n ", b"\n")
         signature = value.decode("utf-8", "replace")
 
-    return Commit(
-        id=oid if oid is not None else hash_object("commit", payload),
-        tree=ObjectId(unhexlify(head[1])),
-        parents=tuple([ObjectId(unhexlify(line[7:])) for line in head[2].splitlines()]),
-        signature=signature,
-        raw_payload=payload,
-        gpgsig_span=span,
-    )
+    # The grammar matched every id: 40 hex digits.
+    return _new_commit((
+        oid if oid is not None else hash_object("commit", payload),  # id
+        checked_id((unhexlify(head[1]),)),  # tree
+        tuple([checked_id((unhexlify(line[7:]),)) for line in head[2].splitlines()]),  # parents
+        signature,
+        payload,  # raw_payload
+        span,  # gpgsig_span
+    ))
 
 
 def signed_payload(commit: Commit) -> bytes:

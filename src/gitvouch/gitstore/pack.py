@@ -233,34 +233,38 @@ class PackFile:
 
         Output is capped one byte past ``expected``, so a stream that
         inflates to more than it declares fails without being inflated
-        whole. The first read is sized for an ``expected``-byte stream,
-        which is usually the only one.
+        whole. The first read is sized for an ``expected``-byte stream;
+        when it holds the whole stream, as it does for every object but
+        a large or a hostile one, one call inflates it.
         """
         decomp = zlib.decompressobj()
-        chunks = []
-        got = 0
-        want = min(expected + 64, _READ_CHUNK)
         try:
-            while not decomp.eof:
+            data = os.pread(self._fd, min(expected + 64, _READ_CHUNK), pos)
+            chunk = decomp.decompress(data, min(expected + 1, sys.maxsize))
+            if decomp.eof and len(chunk) == expected:
+                return chunk
+            pos += len(data)
+            chunks = [chunk]
+            got = len(chunk)
+            while got <= expected and not decomp.eof:
                 data = decomp.unconsumed_tail
                 if not data:
-                    data = os.pread(self._fd, want, pos)
+                    data = os.pread(self._fd, _READ_CHUNK, pos)
                     if not data:
                         raise CorruptObject(f"{self.path}: truncated zlib stream")
                     pos += len(data)
-                    want = _READ_CHUNK
                 chunk = decomp.decompress(data, min(expected + 1 - got, sys.maxsize))
                 got += len(chunk)
-                if got > expected:
-                    raise CorruptObject(
-                        f"{self.path}: object inflates past its declared {expected} bytes"
-                    )
                 chunks.append(chunk)
         except zlib.error as exc:
             raise CorruptObject(f"{self.path}: undecodable object: {exc}") from exc
+        if got > expected:
+            raise CorruptObject(
+                f"{self.path}: object inflates past its declared {expected} bytes"
+            )
         if got != expected:
             raise CorruptObject(f"{self.path}: size mismatch (expected {expected}, got {got})")
-        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        return b"".join(chunks)
 
 
 def _delta_varint(data: bytes, pos: int) -> tuple[int, int]:
@@ -288,7 +292,7 @@ def apply_delta(base: bytes, delta: bytes) -> bytes:
     base_size = len(base)
     if src_size != base_size:
         raise BadDelta(f"delta base size mismatch ({src_size} != {base_size})")
-    out = bytearray()
+    out = []
     written = 0
     end = len(delta)
     while pos < end:
@@ -334,7 +338,7 @@ def apply_delta(base: bytes, delta: bytes) -> bytes:
         written += size
         if written > dst_size:
             raise BadDelta(f"delta result exceeds its declared {dst_size} bytes")
-        out += source[start : start + size]
+        out.append(source[start : start + size])
     if written != dst_size:
         raise BadDelta(f"delta result size mismatch ({written} != {dst_size})")
-    return bytes(out)
+    return b"".join(out)

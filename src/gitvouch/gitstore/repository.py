@@ -19,6 +19,7 @@ from gitvouch.gitstore.objects import (
     ObjectId,
     ObjectNotFound,
     RawObject,
+    checked_object,
     hash_object,
 )
 from gitvouch.gitstore.pack import PackFile
@@ -58,7 +59,8 @@ class Repository:
         kind, payload = self._read_raw(oid)
         if hash_object(kind, payload) != oid:
             raise CorruptObject(f"digest mismatch for {oid}")
-        return RawObject(kind, payload)
+        # Both readers return only the kinds a RawObject may have.
+        return checked_object((kind, payload))
 
     def _read_raw(self, oid: ObjectId, depth: int = 0) -> tuple[str, bytes]:
         # Also the packs' reference-delta resolver: a base may live

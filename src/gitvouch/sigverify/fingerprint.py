@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Fingerprint:
+class _Fingerprint(NamedTuple):
     raw: bytes
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.raw, bytes) or len(self.raw) != 20:
-            raise ValueError(f"fingerprint must be exactly 20 bytes, got {self.raw!r}")
+
+class Fingerprint(_Fingerprint):
+    """A one-element tuple holding the 20 raw bytes, like
+    :class:`~gitvouch.gitstore.objects.ObjectId`, so the keyring and
+    authorization lookups made for every commit hash and compare in C.
+    Fingerprints compare by their raw bytes."""
+
+    __slots__ = ()
+
+    def __new__(cls, raw: bytes) -> "Fingerprint":
+        if not isinstance(raw, bytes) or len(raw) != 20:
+            raise ValueError(f"fingerprint must be exactly 20 bytes, got {raw!r}")
+        return tuple.__new__(cls, (raw,))
 
     @classmethod
     def parse(cls, text: str) -> "Fingerprint":
@@ -43,3 +53,9 @@ class Fingerprint:
 
     def __repr__(self) -> str:
         return f"Fingerprint({self.raw.hex().upper()})"
+
+
+# The trusted factory: builds a Fingerprint from 20 bytes a reader has
+# already checked, such as a SHA-1 digest, without running the
+# constructor's check again; takes the fields as one tuple, in C.
+checked_fingerprint = partial(tuple.__new__, Fingerprint)

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from gitvouch.errors import VouchError
-from gitvouch.sigverify.fingerprint import Fingerprint
+from gitvouch.sigverify.fingerprint import Fingerprint, checked_fingerprint
 
 TAG_SIGNATURE = 2
 TAG_PUBLIC_KEY = 6
@@ -71,10 +72,10 @@ class KeyPacket:
         return fingerprint_of(self.body)
 
 
-@dataclass(frozen=True)
-class SignaturePacket:
+class SignaturePacket(NamedTuple):
     """Tag 2 (version 4 only). ``hashed_portion`` is the packet prefix
-    covered by the digest (version byte through hashed subpackets)."""
+    covered by the digest (version byte through hashed subpackets). A
+    tuple: ``_replace`` makes a changed copy."""
 
     version: int
     sig_type: int
@@ -84,7 +85,17 @@ class SignaturePacket:
     unhashed_subpackets: tuple[Subpacket, ...]
     left16: bytes
     material: object
-    hashed_portion: bytes = field(repr=False)
+    hashed_portion: bytes
+
+    def __repr__(self) -> str:
+        return (
+            f"SignaturePacket(version={self.version!r}, sig_type={self.sig_type!r}, "
+            f"pubkey_algorithm={self.pubkey_algorithm!r}, "
+            f"hash_algorithm={self.hash_algorithm!r}, "
+            f"hashed_subpackets={self.hashed_subpackets!r}, "
+            f"unhashed_subpackets={self.unhashed_subpackets!r}, "
+            f"left16={self.left16!r}, material={self.material!r})"
+        )
 
     def _subpacket(self, type_: int, *, hashed_only: bool = False) -> bytes | None:
         for sp in self.hashed_subpackets:
@@ -107,7 +118,7 @@ class SignaturePacket:
         # Only the hashed area is trustworthy for issuer identification.
         data = self._subpacket(SUBPKT_ISSUER_FINGERPRINT, hashed_only=True)
         if data and len(data) == 21 and data[0] == 4:
-            return Fingerprint(data[1:])
+            return checked_fingerprint((data[1:],))
         return None
 
     @property
@@ -132,6 +143,12 @@ class UnknownPacket:
 
 
 Packet = KeyPacket | SignaturePacket | UserIdPacket | UnknownPacket
+
+# Factories for the two records the signature reader builds per commit:
+# the fields in order, as one tuple, built in C rather than by the
+# NamedTuples' generated ``__new__``.
+_new_subpacket = partial(tuple.__new__, Subpacket)
+_new_signature = partial(tuple.__new__, SignaturePacket)
 
 
 def _read_new_length(data: bytes, pos: int) -> tuple[int, int]:
@@ -174,8 +191,7 @@ def _read_header(data: bytes, pos: int) -> tuple[int, int, int]:
 def _read_mpi(body: bytes, pos: int) -> tuple[int, int]:
     if pos + 2 > len(body):
         raise Truncated("MPI length truncated")
-    bits = int.from_bytes(body[pos : pos + 2], "big")
-    nbytes = (bits + 7) // 8
+    nbytes = ((body[pos] << 8 | body[pos + 1]) + 7) >> 3
     pos += 2
     if pos + nbytes > len(body):
         raise Truncated("MPI body truncated")
@@ -249,7 +265,8 @@ def _parse_subpackets(area: bytes) -> tuple[Subpacket, ...]:
         if length == 0 or pos + length > end:
             raise Truncated("subpacket body truncated")
         type_byte = area[pos]
-        out.append(Subpacket(type_byte & 0x7F, type_byte >= 0x80, area[pos + 1 : pos + length]))
+        out.append(
+            _new_subpacket((type_byte & 0x7F, type_byte >= 0x80, area[pos + 1 : pos + length])))
         pos += length
     return tuple(out)
 
@@ -262,16 +279,12 @@ def _parse_signature_packet(body: bytes) -> SignaturePacket:
         raise Unsupported(f"version {version} signatures are not supported")
     if len(body) < 6:
         raise Truncated("signature packet too short")
-    sig_type = body[1]
     pubkey_algorithm = body[2]
-    hash_algorithm = body[3]
-    hashed_len = int.from_bytes(body[4:6], "big")
-    hashed_end = 6 + hashed_len
+    hashed_end = 6 + (body[4] << 8 | body[5])
     if hashed_end + 2 > len(body):
         raise Truncated("hashed subpacket area truncated")
     hashed = _parse_subpackets(body[6:hashed_end])
-    unhashed_len = int.from_bytes(body[hashed_end : hashed_end + 2], "big")
-    unhashed_end = hashed_end + 2 + unhashed_len
+    unhashed_end = hashed_end + 2 + (body[hashed_end] << 8 | body[hashed_end + 1])
     if unhashed_end + 2 > len(body):
         raise Truncated("unhashed subpacket area truncated")
     unhashed = _parse_subpackets(body[hashed_end + 2 : unhashed_end])
@@ -287,17 +300,17 @@ def _parse_signature_packet(body: bytes) -> SignaturePacket:
         material = (r, s)
     else:
         material = body[pos:]
-    return SignaturePacket(
-        version=version,
-        sig_type=sig_type,
-        pubkey_algorithm=pubkey_algorithm,
-        hash_algorithm=hash_algorithm,
-        hashed_subpackets=hashed,
-        unhashed_subpackets=unhashed,
-        left16=left16,
-        material=material,
-        hashed_portion=body[:hashed_end],
-    )
+    return _new_signature((
+        version,
+        body[1],  # sig_type
+        pubkey_algorithm,
+        body[3],  # hash_algorithm
+        hashed,  # hashed_subpackets
+        unhashed,  # unhashed_subpackets
+        left16,
+        material,
+        body[:hashed_end],  # hashed_portion
+    ))
 
 
 def parse_packets(data: bytes) -> list[Packet]:
@@ -337,4 +350,4 @@ def fingerprint_of(key_body: bytes) -> Fingerprint:
         raise Truncated("empty key packet")
     if key_body[0] != 4:
         raise Unsupported(f"cannot fingerprint version {key_body[0]} key")
-    return Fingerprint(hashlib.sha1(key_hash_input(key_body)).digest())
+    return checked_fingerprint((hashlib.sha1(key_hash_input(key_body)).digest(),))

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Container
-from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
+from typing import NamedTuple
 
 from gitvouch.errors import VouchError
 from gitvouch.sigverify import ed25519
@@ -47,16 +49,26 @@ class BadSignature(VouchError):
 
 
 _DIGESTS = {HASH_SHA256: hashlib.sha256, HASH_SHA512: hashlib.sha512}
+_VERIFIABLE = attrgetter("verifiable")
 
 
-@dataclass(frozen=True)
-class VerifiedSignature:
+class VerifiedSignature(NamedTuple):
     """Who made a valid signature. ``proof`` is the Ed25519 check that
-    passed, as :func:`ed25519_proof` spells it; None for RSA."""
+    passed, as :func:`ed25519_proof` spells it; None for RSA. A tuple,
+    so two results are equal only when their proofs are too."""
 
     primary_fingerprint: Fingerprint
     key_fingerprint: Fingerprint
-    proof: bytes | None = field(default=None, compare=False, repr=False)
+    proof: bytes | None = None
+
+    def __repr__(self) -> str:
+        return (f"VerifiedSignature(primary_fingerprint={self.primary_fingerprint!r}, "
+                f"key_fingerprint={self.key_fingerprint!r})")
+
+
+# The factory for the one result built per commit: the fields in order,
+# as one tuple, built in C rather than by the generated ``__new__``.
+_new_verified = partial(tuple.__new__, VerifiedSignature)
 
 
 # An Ed25519 check as one record: the digest's length, the 32-byte
@@ -191,7 +203,7 @@ def _verify_digest(
     candidates = _candidates(sig, keyring)
     if not candidates:
         raise UnknownKey("signature issuer is not in the keyring")
-    verifiable = [c for c in candidates if c.verifiable]
+    verifiable = list(filter(_VERIFIABLE, candidates))
     if not verifiable:
         raise Unsupported(
             f"issuer key algorithm {candidates[0].algorithm} not in verify subset"
@@ -210,11 +222,7 @@ def _verify_digest(
                     f"{key.algorithm} key {key.fingerprint.display()}"
                 )
             proof = _check_one(key, sig, digest, keyring, proofs)
-            return VerifiedSignature(
-                primary_fingerprint=key.primary_fingerprint,
-                key_fingerprint=key.fingerprint,
-                proof=proof,
-            )
+            return _new_verified((key.primary_fingerprint, key.fingerprint, proof))
         except BadSignature as exc:
             last = exc
     assert last is not None

@@ -1,6 +1,7 @@
 """CLI behavior: exit-code mapping, streams, update pipeline."""
 
 import os
+import threading
 
 import pytest
 
@@ -518,6 +519,79 @@ class TestUpdateCommand:
         # the warning still fires despite the side branch's claim
         assert "might be stale" in err
         assert repo["primary_url"] in err
+
+    def test_malformed_metadata_exit_one_until_the_tip_is_authentic(
+        self, tmp_path, state_dir, capsys
+    ):
+        # The tip's .guix-channel is read before the tip is authenticated.
+        # An unauthenticated tip is an authentication failure whatever that
+        # file holds; only an authentic tip's file can be a parse error.
+        repo = make_update_repo(tmp_path)
+        store = repo["store"]
+        files = {
+            ".guix-authorizations": fixtures.authz_bytes(repo["alice"], repo["bob"]),
+            ".guix-channel": b"(channel (version 0",
+        }
+        forged = store.commit_files(files, [repo["c"]], message="E\n",
+                                    sign_with=fixtures.signer(fixtures.key("mallory")))
+        signed = store.commit_files(files, [repo["c"]], message="F\n",
+                                    sign_with=fixtures.signer(repo["alice"]))
+        path = fixtures.export_to_disk(store, str(tmp_path / "malformed.git"))
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+        args = ["update", "--repository", path, "--channels", channels,
+                "--state-dir", state_dir]
+        set_branch(path, "master", forged)
+        assert cli.main(args) == 1  # the default keyring branch is missing
+        assert cli.main(args + ["--keyring", "keys"]) == 1
+        assert "UnknownKey" in capsys.readouterr().err
+        set_branch(path, "master", signed)
+        assert cli.main(args + ["--keyring", "keys"]) == 3
+        assert "SexpSyntaxError" in capsys.readouterr().err
+        assert channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan") is None
+
+    def test_concurrent_updates_never_record_the_older_tip(
+        self, tmp_path, state_dir, monkeypatch
+    ):
+        # One update, to b, stops in its check against the baseline a;
+        # another, to c (a child of b), runs meanwhile. However the two
+        # interleave, the record must end at c.
+        repo = make_update_repo(tmp_path)
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+        for name in ("base", "old"):
+            set_branch(repo["path"], name, repo["a" if name == "base" else "b"])
+        args = ["update", "--repository", repo["path"], "--channels", channels,
+                "--state-dir", state_dir, "--branch"]
+        assert cli.main(args + ["base"]) == 0
+        real = channel.fast_forward_check
+        entered, release = threading.Event(), threading.Event()
+        codes = {}
+
+        def paused(*a, **k):
+            if threading.current_thread().name == "old":
+                entered.set()
+                release.wait(10)
+            return real(*a, **k)
+
+        monkeypatch.setattr(channel, "fast_forward_check", paused)
+        threads = {
+            name: threading.Thread(
+                name=name, target=lambda n=name: codes.setdefault(n, cli.main(args + [n])))
+            for name in ("old", "master")
+        }
+        threads["old"].start()
+        assert entered.wait(10)
+        threads["master"].start()
+        threads["master"].join(0.5)  # finishes here only if nothing holds the lock
+        release.set()
+        for thread in threads.values():
+            thread.join(10)
+        assert codes == {"old": 0, "master": 0}
+        record = channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan")
+        assert record.commit == repo["c"]
 
     def test_missing_channels_file_exit_three(self, tmp_path, state_dir):
         repo = make_update_repo(tmp_path)

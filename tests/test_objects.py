@@ -13,6 +13,7 @@ from gitvouch.gitstore import (
     hash_object,
     parse_commit,
     parse_tree,
+    path_entry,
     serialize_tree,
     signed_payload,
 )
@@ -20,6 +21,7 @@ from gitvouch.gitstore.objects import CorruptObject, MalformedCommit, NotACommit
 
 import commit_reference
 import fixtures
+import tree_reference
 
 # frozen from reference git: `printf ... | git hash-object --stdin`
 HELLO_BLOB = "ce013625030ba8dba906f756967f9e9ca394464a"
@@ -294,3 +296,87 @@ class TestTree:
         payload = serialize_tree([TreeEntry("100644", "a", ObjectId.from_hex(HELLO_BLOB))])
         with pytest.raises(CorruptObject, match="non-ASCII mode"):
             parse_tree(b"1\xff0644" + payload[len(b"100644"):])
+
+
+class _OneTree:
+    """A store that holds one tree, whatever id it is asked for."""
+
+    def __init__(self, payload: bytes) -> None:
+        self.payload = payload
+
+    def read_object(self, oid):
+        return RawObject("tree", self.payload)
+
+
+TREE_NAMES = [b"a", b"b", b"a b", b"", b".guix-authorizations", b"\xff", b"dir"]
+
+
+class TestTreeGrammar:
+    """``parse_tree`` and ``path_entry`` read a tree with one grammar;
+    ``tree_reference`` holds the loop it replaced. They must refuse the
+    same payloads with the same error and read the others alike."""
+
+    @given(
+        st.lists(st.tuples(st.sampled_from([b"100644", b"40000", b"", b"1\xff0644"]),
+                           st.sampled_from(TREE_NAMES),
+                           st.binary(min_size=20, max_size=20)), max_size=6),
+        st.lists(st.tuples(st.sampled_from(["set", "insert", "delete", "cut"]),
+                           st.integers(0, 255), st.sampled_from(b" \x00a4\xff")),
+                 max_size=3),
+        st.sampled_from(TREE_NAMES + [b"missing"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_reads_as_the_reference_loop(self, entries, edits, wanted):
+        data = bytearray(b"".join(m + b" " + n + b"\x00" + raw for m, n, raw in entries))
+        for op, pos, byte in edits:
+            pos %= len(data) + 1
+            if op == "set" and pos < len(data):
+                data[pos] = byte
+            elif op == "insert":
+                data.insert(pos, byte)
+            elif op == "delete":
+                del data[pos:pos + 1]
+            elif op == "cut":
+                del data[pos:]
+        payload = bytes(data)
+        name = wanted.decode("utf-8", "surrogateescape")
+        try:
+            expected = tree_reference.parse_tree(payload)
+        except CorruptObject as exc:
+            readers = [lambda: parse_tree(payload)]
+            if name:  # an empty path reads no tree
+                readers.append(lambda: path_entry(_OneTree(payload), ObjectId(b"\0" * 20), name))
+            for read in readers:
+                with pytest.raises(CorruptObject) as raised:
+                    read()
+                assert str(raised.value) == str(exc)
+            return
+        assert [(e.mode, e.name, e.id.raw) for e in parse_tree(payload)] == expected
+        found = {n: (m, raw) for m, n, raw in expected}.get(name)
+        wanted_id = None if found is None or found[0] == "40000" else ObjectId(found[1])
+        if name:
+            assert path_entry(_OneTree(payload), ObjectId(b"\0" * 20), name) == wanted_id
+
+    @staticmethod
+    def entries(n: int) -> bytes:
+        return b"".join(b"100644 f%06d\x00" % i + b"\x01" * 20 for i in range(n))
+
+    # A grammar that backtracks over what it has read would take
+    # quadratic or exponential time on each of these.
+    @pytest.mark.parametrize("make, error", [
+        (lambda t: t.entries(100_000), None),
+        (lambda t: t.entries(100_000)[:-1], "truncated tree entry at offset"),
+        (lambda t: t.entries(100_000) + t.entries(1), "duplicate tree entry"),
+        (lambda t: b"1" * (4 << 20), "truncated tree entry at offset 0"),
+        (lambda t: b"100644 " + b"a" * (4 << 20), "truncated tree entry at offset 0"),
+    ], ids=["100k entries", "100k entries, the last cut short", "100k entries, one twice",
+            "4 MiB mode", "4 MiB name without NUL"])
+    def test_pathological_trees_finish(self, make, error):
+        payload = make(self)
+        started = time.monotonic()
+        if error is None:
+            assert len(parse_tree(payload)) == 100_000
+        else:
+            with pytest.raises(CorruptObject, match=error):
+                parse_tree(payload)
+        assert time.monotonic() - started < 5.0

@@ -42,6 +42,7 @@ from gitvouch.sigverify import (
 
 import crc24_reference
 import fixtures
+import packet_reference
 from openpgp_writer import armor, bind_subkey, export_public, packet, sign_for_tests
 from gitvouch.errors import VouchError
 from gitvouch.sigverify import ed25519
@@ -333,6 +334,72 @@ class TestParsePackets:
         with pytest.raises(Unsupported):
             parse_packets(bytes([0xC6, 0xE1]) + b"\x00" * 8)
 
+    @given(
+        source=st.sampled_from(["payload.sig", "payload-rsa.sig", "expired.sig", "alice.asc",
+                                "carol.asc", "writer", "writer key"]),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["set", "flip", "insert", "delete", "cut"]),
+                      st.one_of(st.integers(0, 8), st.integers(0, 1023)),
+                      st.one_of(st.sampled_from([0, 1, 4, 22, 191, 192, 223, 224, 255]),
+                                st.integers(0, 255))),
+            min_size=1, max_size=4),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_reads_as_the_reference(self, source, edits):
+        # ``packet_reference`` holds the framing and the signature reader
+        # this one replaced: mutated packets read alike or fail alike.
+        # The fixture files use the old packet format, the writer the new.
+        if source == "writer":
+            data = bytearray(dearmor(sign_for_tests(b"payload\n", fixtures.key("alice")),
+                                     SIGNATURE))
+        elif source == "writer key":
+            data = bytearray(dearmor(export_public(fixtures.key("alice")), PUBLIC_KEY_BLOCK))
+        else:
+            label = SIGNATURE if source.endswith(".sig") else PUBLIC_KEY_BLOCK
+            data = bytearray(dearmor(read(source), label))
+        for op, pos, byte in edits:
+            pos %= len(data) + 1
+            if op == "set" and pos < len(data):
+                data[pos] = byte
+            elif op == "flip" and pos < len(data):
+                data[pos] ^= byte or 1
+            elif op == "insert":
+                data.insert(pos, byte)
+            elif op == "delete":
+                del data[pos:pos + 1 + byte % 4]
+            elif op == "cut":
+                del data[pos:]
+        self.assert_reads_as_the_reference(bytes(data))
+
+    @pytest.mark.parametrize("source", ["alice.asc", "writer key"])
+    def test_every_first_length_octet_reads_as_the_reference(self, source):
+        if source == "writer key":
+            data = bytearray(dearmor(export_public(fixtures.key("alice")), PUBLIC_KEY_BLOCK))
+        else:
+            data = bytearray(dearmor(read(source), PUBLIC_KEY_BLOCK))
+        for octet in range(256):
+            data[1] = octet
+            self.assert_reads_as_the_reference(bytes(data))
+
+    @staticmethod
+    def assert_reads_as_the_reference(data: bytes) -> None:
+        try:
+            expected = packet_reference.parse_packets(data)
+        except VouchError as exc:
+            with pytest.raises(VouchError) as raised:
+                parse_packets(data)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            return
+
+        def fields(p):
+            if isinstance(p, SignaturePacket):
+                return tuple(p)
+            if isinstance(p, KeyPacket):
+                return ("key", p)
+            return (13, p.value) if isinstance(p, UserIdPacket) else (p.tag, p.body)
+
+        assert [fields(p) for p in parse_packets(data)] == expected
+
     def test_v3_key_unsupported(self):
         body = b"\x03" + (1600000000).to_bytes(4, "big") + b"\x00\x00\x01" + b"\x00" * 10
         packet = bytes([0xC6, len(body)]) + body
@@ -549,10 +616,8 @@ class TestAlgorithmMismatch:
         rita = fixtures.RsaTestKey()
         ring = Keyring(load_keys(rita.export_binary()))
         sig = first_signature(rita.sign(b"payload\n"))
-        from dataclasses import replace
-
         with pytest.raises(BadSignature):
-            verify_detailed(replace(sig, material=1 << 4096), b"payload\n", ring)
+            verify_detailed(sig._replace(material=1 << 4096), b"payload\n", ring)
 
 
 class TestWeakDigestPolicy:
@@ -612,9 +677,7 @@ class TestIssuerResolution:
             sign_for_tests(b"payload\n", key, issuer_fingerprint=False)
         )
         # strip the unhashed area (where the key id lives)
-        from dataclasses import replace
-
-        stripped = replace(sig, unhashed_subpackets=())
+        stripped = sig._replace(unhashed_subpackets=())
         with pytest.raises(UnknownKey):
             verify_detailed(stripped, b"payload\n", ring)
 
@@ -767,7 +830,7 @@ class TestProofs:
         sig = first_signature(sign_for_tests(self.PAYLOAD, key))
         proof = verify_detailed(sig, self.PAYLOAD, ring).proof
         r, s = sig.material
-        forged = dataclasses.replace(sig, material=(r, s ^ 1))
+        forged = sig._replace(material=(r, s ^ 1))
         return ring, proof, forged
 
     def test_proof_layout(self):
@@ -802,7 +865,7 @@ class TestProofs:
         ring = Keyring(load_keys(rita.export_binary()))
         sig = first_signature(rita.sign(b"rsa payload\n"))
         assert verify_detailed(sig, b"rsa payload\n", ring).proof is None
-        forged = dataclasses.replace(sig, material=sig.material ^ 1)
+        forged = sig._replace(material=sig.material ^ 1)
 
         class Everything:
             def __contains__(self, proof):
@@ -880,8 +943,8 @@ class TestStrictRule:
     def check(self, public, sig, material, raw):
         """Verify the 64-byte signature ``raw`` with key ``material``."""
         key = dataclasses.replace(public, material=material)
-        forged = dataclasses.replace(
-            sig, material=(int.from_bytes(raw[:32], "big"), int.from_bytes(raw[32:], "big")))
+        forged = sig._replace(
+            material=(int.from_bytes(raw[:32], "big"), int.from_bytes(raw[32:], "big")))
         return verify_detailed(forged, self.PAYLOAD, Keyring([key]))
 
     def test_identity_key_forgery_rejected(self):
@@ -902,7 +965,7 @@ class TestStrictRule:
     def test_rule_applies_before_a_proof(self):
         public, sig = self.signed()
         ring = Keyring([dataclasses.replace(public, material=IDENTITY)])
-        forged = dataclasses.replace(sig, material=(int.from_bytes(IDENTITY, "big"), 0))
+        forged = sig._replace(material=(int.from_bytes(IDENTITY, "big"), 0))
         digest = hashlib.sha256(self.PAYLOAD + forged.trailer()).digest()
         proofs = {ed25519_proof(IDENTITY, IDENTITY + bytes(32), digest)}
         with pytest.raises(BadSignature, match="small order"):
@@ -989,7 +1052,7 @@ class TestEnginesAgree:
 
 
 _CHILD = """
-import dataclasses, json, os, sys
+import json, os, sys
 {prelude}
 import gitvouch.cli
 imported = sorted(m for m in sys.modules if m.split(".")[0] == "cryptography")
@@ -1005,7 +1068,7 @@ payload = read("payload.bin")
 signer = verify_detailed(sig, payload, ring).primary_fingerprint.hex
 r, s = sig.material
 try:
-    verify_detailed(dataclasses.replace(sig, material=(r, s ^ 1)), payload, ring)
+    verify_detailed(sig._replace(material=(r, s ^ 1)), payload, ring)
     flipped = "accepted"
 except Exception as exc:
     flipped = f"{{type(exc).__name__}}: {{exc}}"
