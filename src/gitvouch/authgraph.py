@@ -13,16 +13,12 @@ commits.
 
 from __future__ import annotations
 
-import gc
 import logging
 import os
-import signal
-import struct
 import tempfile
 import threading
-import time
 from binascii import hexlify
-from collections.abc import Callable, Container, Iterator, Mapping, Set
+from collections.abc import Callable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -31,11 +27,12 @@ from gitvouch.errors import VouchError
 from gitvouch.gitstore import graph
 from gitvouch.gitstore.objects import Commit, ObjectId, parse_tree, signed_payload
 from gitvouch.sexp import SexpSyntaxError
+from gitvouch.sigverify import ed25519
 from gitvouch.sigverify.armor import SIGNATURE, BadArmor, dearmor
 from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.sigverify.keys import Keyring, load_keys
 from gitvouch.sigverify.packets import SignaturePacket, parse_packets
-from gitvouch.sigverify.verify import PROOF_SIZE, VerifiedSignature, verify_detailed
+from gitvouch.sigverify.verify import Ed25519Verify, VerifiedSignature, verify_detailed
 from gitvouch.statedir import default_state_dir
 
 logger = logging.getLogger(__name__)
@@ -112,7 +109,9 @@ class AuthReport:
 
     ``generation`` gives the generation number of the introduction (0),
     of an id the cache records, or of a commit this run recorded, and
-    None for any other id. Only a run with a cache records commits."""
+    None for any other id. Only a run with a cache records commits.
+    ``helper_verified`` counts the Ed25519 checks the worker thread of
+    :func:`authenticate_repository` ran."""
 
     target: ObjectId
     checked: int
@@ -334,24 +333,35 @@ def load_keyring(store, keyring_ref: str = DEFAULT_KEYRING_REF) -> Keyring:
     commit = graph.read_commit(store, tip)
     keyring = Keyring()
     skipped = 0
+    # A recursive walk's order, since the first key read under a
+    # fingerprint is kept, with each tree and blob read once. A path is
+    # kept as (name, link of the tree above) and spelled out only for a
+    # warning, so a deep tree costs no more per level than a shallow one.
+    trees, blobs = {commit.tree}, set()
+    stack = [(iter(parse_tree(store.read_object(commit.tree).payload)), None)]
+    while stack:
+        entries, link = stack[-1]
+        entry = next(entries, None)
+        if entry is None:
+            stack.pop()
+            continue
+        seen = trees if entry.is_tree else blobs
+        if entry.id in seen:
+            continue
+        seen.add(entry.id)
+        link = (entry.name, link)
+        if entry.is_tree:
+            stack.append((iter(parse_tree(store.read_object(entry.id).payload)), link))
+            continue
+        obj = store.read_object(entry.id)
+        if obj.kind != "blob":
+            continue
+        try:
+            keyring.update(load_keys(obj.payload))
+        except VouchError:
+            skipped += 1
+            logger.warning("keyring file %s does not contain OpenPGP keys", _spelled(link))
 
-    def walk(tree_id: ObjectId, prefix: str) -> None:
-        nonlocal skipped
-        for entry in parse_tree(store.read_object(tree_id).payload):
-            path = f"{prefix}{entry.name}"
-            if entry.is_tree:
-                walk(entry.id, path + "/")
-                continue
-            obj = store.read_object(entry.id)
-            if obj.kind != "blob":
-                continue
-            try:
-                keyring.update(load_keys(obj.payload))
-            except VouchError:
-                skipped += 1
-                logger.warning("keyring file %s does not contain OpenPGP keys", path)
-
-    walk(commit.tree, "")
     if len(keyring) == 0:
         raise EmptyKeyring(
             f"no OpenPGP keys found on {keyring_ref} ({skipped} file(s) skipped)"
@@ -361,15 +371,25 @@ def load_keyring(store, keyring_ref: str = DEFAULT_KEYRING_REF) -> Keyring:
     return keyring
 
 
+def _spelled(link) -> str:
+    """The path that ``link`` keeps for :func:`load_keyring`."""
+    names = []
+    while link is not None:
+        name, link = link
+        names.append(name)
+    return "/".join(reversed(names))
+
+
 def _verify_commit(
-    commit: Commit, keyring: Keyring, proofs: Container[bytes] = frozenset()
+    commit: Commit, keyring: Keyring, ed25519_verify: Ed25519Verify | None = None
 ) -> VerifiedSignature:
     """Verify the first signature packet of ``commit``'s signature."""
     if commit.signature is None:
         raise Unsigned("commit is not signed")
     for packet in parse_packets(dearmor(commit.signature, SIGNATURE)):
         if isinstance(packet, SignaturePacket):
-            return verify_detailed(packet, signed_payload(commit), keyring, proofs=proofs)
+            return verify_detailed(
+                packet, signed_payload(commit), keyring, ed25519_verify=ed25519_verify)
     raise BadArmor("signature header carries no signature packet")
 
 
@@ -380,21 +400,22 @@ def authenticate_commit(
         tuple[ObjectId | None, ObjectId | None, frozenset[Fingerprint]]
     ],
     *,
-    proofs: Container[bytes] = frozenset(),
+    ed25519_verify: Ed25519Verify | None = None,
 ) -> Fingerprint:
     """Check one commit: valid signature first, then membership of the
     signer in every parent's authorized set. Returns the signer's
     primary fingerprint. ``parent_authorizations`` holds, for each
     parent, its id, the id of its policy blob (None for the historical
-    list) and the fingerprints authorized there. ``proofs`` is passed on
-    to :func:`~gitvouch.sigverify.verify.verify_detailed`. A commit
+    list) and the fingerprints authorized there. ``ed25519_verify`` is
+    passed on to :func:`~gitvouch.sigverify.verify.verify_detailed`:
+    None checks Ed25519 with the engine. A commit
     without parents is checked against one set whose parent is None:
     the default authorizations.
 
     A fingerprint matches if it names the signer's primary key, or — as
     a documented extension — the exact signing subkey.
     """
-    verified = _verify_commit(commit, keyring, proofs)
+    verified = _verify_commit(commit, keyring, ed25519_verify)
     for parent_id, policy, authorized in parent_authorizations:
         if (
             verified.primary_fingerprint not in authorized
@@ -504,129 +525,56 @@ class _AuthzReader:
         return blob_id
 
 
-# Fewest commits left to check for which a helper is forked. Measured
-# on a 2-vCPU VM (CPython 3.11, libsodium 1.0.18, a 29 MB process): a
-# helper that does nothing costs 4.0-5.3 ms (fork, the caller's
-# copy-on-write faults, kill and reap), the time of 50-70 Ed25519
-# verifies at 0.08 ms. A helper proves about half of the commits before
-# the two processes meet, and the two slow each other down on this VM,
-# so runs with and without a helper on linear chains broke even between
-# 96 and 128 commits (four sets of 60-80 interleaved runs, 48-384
-# commits). At 128 commits the helper's median was lower in three sets
-# (15.3 -> 15.0, 20.7 -> 18.2, 21.4 -> 19.6 ms); at 96 it lost two of
-# three. In the fourth set the second CPU was busy, and the helper lost
-# at every size.
-HELPER_MIN_COMMITS = 128
-
-# One record per commit the helper proved: the commit's index in the
-# run's list, then its Ed25519 proof.
-_RECORD = struct.Struct(f">I{PROOF_SIZE}s")
-
-# Least time between two reads of the helper's pipe: a few commits.
-_POLL_S = 0.0003
+# Fewest deferred checks for which the worker thread starts. Starting,
+# waking and joining it cost 0.15-0.3 ms on a 2-vCPU VM (CPython 3.11,
+# libsodium 1.0.18): pinned to one CPU, warm runs of 2-40 new commits
+# took 5-19% longer with the worker and runs of 96-110 about 2% longer.
+# With both CPUs the worker took its share only after about 5 ms of
+# checks, CPython's switch interval, so it did not pay below that.
+WORKER_MIN_CHECKS = 128
 
 
-class _Proofs(set):
-    """One run's proof records; counts the lookups that found one."""
+def _check_deferred(checks: list[tuple[bytes, bytes, bytes]]) -> int | None:
+    """Run the deferred Ed25519 ``checks`` with the engine, on this
+    thread and, for :data:`WORKER_MIN_CHECKS` or more, one worker thread
+    taking them from the same iterator (``ctypes`` releases the GIL
+    while libsodium checks). Returns how many the worker ran, or None
+    when a check fails or the worker raises. The worker has ended when
+    this returns."""
+    verify = ed25519.engine().verify
+    pending = iter(checks)
 
-    hits = 0
+    def check_each() -> int | None:
+        ran = 0
+        for check in pending:
+            if not verify(*check):
+                # A list's iterator stops at the list's end, so the other
+                # thread takes no more checks either.
+                checks.clear()
+                return None
+            ran += 1
+        return ran
 
-    def __contains__(self, proof) -> bool:
-        found = set.__contains__(self, proof)
-        self.hits += found
-        return found
+    if len(checks) < WORKER_MIN_CHECKS:
+        return None if check_each() is None else 0
+    worker: list[int | None] = [None]  # what check_each returned there
 
+    def work() -> None:
+        try:
+            worker[0] = check_each()
+        except Exception:
+            # The inline run that follows meets the error again, if it lasts.
+            logger.debug("Ed25519 worker thread failed", exc_info=True)
+            checks.clear()
 
-def _helper_wanted(left: int) -> bool:
-    return (
-        left >= HELPER_MIN_COMMITS
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-def _prove(commits: list[Commit], keyring: Keyring, fd: int) -> None:
-    """The helper's whole life: check ``commits`` from the last one
-    backwards and write a record to ``fd`` for each Ed25519 check that
-    passes. It reads no store, logs nothing, and never returns."""
+    thread = threading.Thread(target=work, name="gitvouch-ed25519")
+    thread.start()
     try:
-        # The helper ends with the run; a collection would only copy
-        # pages it shares with the caller.
-        gc.disable()
-        for index in range(len(commits) - 1, -1, -1):
-            try:
-                proof = _verify_commit(commits[index], keyring).proof
-            except VouchError:
-                continue
-            if proof is not None:
-                os.write(fd, _RECORD.pack(index, proof))
+        mine = check_each()
     finally:
-        os._exit(0)
-
-
-class _Helper:
-    """A forked process that proves a run's Ed25519 checks from the last
-    commit backwards while the caller checks from the first.
-
-    The caller never waits for it: a record not yet sent, never sent,
-    cut short or garbled only means that the caller makes that check
-    itself. :meth:`stop` kills and reaps the process; so does a start
-    cut short after the fork.
-    """
-
-    def __init__(self, commits: list[Commit], keyring: Keyring) -> None:
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            raise
-        if self.pid == 0:
-            os.close(read)
-            _prove(commits, keyring, write)
-        self._fd = read
-        try:
-            os.close(write)
-            os.set_blocking(read, False)
-        except BaseException:
-            self.stop()
-            raise
-        self._partial = b""
-        self._next_read = 0.0
-        self.reached = len(commits)  # the lowest index proved so far
-
-    def poll(self, proofs: set[bytes]) -> bool:
-        """Add the records sent so far to ``proofs``; False once the
-        helper has closed its end. The pipe is read at most once per
-        :data:`_POLL_S`, since a read that finds nothing costs a raised
-        exception, more than the Python work of checking a commit."""
-        now = time.perf_counter()
-        if now < self._next_read:
-            return True
-        self._next_read = now + _POLL_S
-        try:
-            data = os.read(self._fd, 1 << 16)
-        except BlockingIOError:
-            return True
-        if not data:
-            return False
-        data = self._partial + data
-        whole = len(data) - len(data) % _RECORD.size
-        self._partial = data[whole:]
-        for index, proof in _RECORD.iter_unpack(data[:whole]):
-            proofs.add(proof)
-            self.reached = min(self.reached, index)
-        return True
-
-    def stop(self) -> None:
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        finally:
-            os.close(self._fd)
+        checks.clear()
+        thread.join()
+    return None if mine is None else worker[0]
 
 
 def authenticate_repository(
@@ -634,8 +582,6 @@ def authenticate_repository(
     intro: ChannelIntroduction,
     target: ObjectId,
     options: AuthOptions | None = None,
-    *,
-    keyring: Keyring | None = None,
 ) -> AuthReport:
     """Authenticate every commit from the introduction to ``target``.
 
@@ -652,14 +598,14 @@ def authenticate_repository(
     later runs walk only new commits. The introduction's ancestors are
     trusted and never examined.
 
-    When at least :data:`HELPER_MIN_COMMITS` commits are left for step
-    (3), a second CPU is free and no other thread runs, one forked
-    helper verifies the same commits from the last one backwards and
-    sends back each Ed25519 check that passed. Step (3) still makes
-    every check for every commit in the same order and only skips the
-    public-key operation of a check the helper has already proved, so
-    verdicts and errors are those of a run without it. The helper is
-    killed and reaped before this returns or raises.
+    Step (3) records each Ed25519 operation, ``(public, signature,
+    digest)``, and takes it to pass; the recorded ones then run on this
+    thread and, from :data:`WORKER_MIN_CHECKS` of them, one worker
+    thread. If they pass, step (3)'s outcome stands, its error included;
+    if not, step (3) runs again with each operation inline, so the
+    verdict, error class and commit are those of a run without deferral.
+    The cache is written and the report returned only after that, and
+    the worker has ended by then.
     """
     options = options if options is not None else AuthOptions()
     cache_key = options.cache_key or AuthCache.key_for(intro)
@@ -688,8 +634,7 @@ def authenticate_repository(
         trusted_ids = {c.id for c in trusted}
         commits = [c for c in commits if c.id not in trusted_ids]
 
-    if keyring is None:
-        keyring = load_keyring(store, options.keyring_ref)
+    keyring = load_keyring(store, options.keyring_ref)
 
     intro_commit = graph.read_commit(store, intro.commit)
     try:
@@ -721,34 +666,40 @@ def authenticate_repository(
         gen = recorded.get(oid)
         return gen if gen is not None else cached.generation(oid)
 
-    proofs = _Proofs()
-    helper = None
-    try:
-        if _helper_wanted(len(commits)):
-            try:
-                helper = _Helper(commits, keyring)
-            except OSError as exc:
-                logger.debug("no helper process: %s", exc)
-        for index, commit in enumerate(commits):
-            # Once the helper has passed this commit, every later one is
-            # proved or failed its check there: it has nothing left to add.
-            if helper is not None and not (helper.poll(proofs) and helper.reached > index):
-                helper.stop()
-                helper = None
+    def check_all(ed25519_verify: Ed25519Verify | None) -> None:
+        for commit in commits:
             cid = commit.id
             try:
                 parent_sets = list(map(reader.get, commit.parents))
                 signers[cid] = authenticate_commit(
-                    commit, keyring, parent_sets or [(None, None, defaults)], proofs=proofs)
+                    commit, keyring, parent_sets or [(None, None, defaults)],
+                    ed25519_verify=ed25519_verify)
             except VouchError as exc:
                 raise exc.annotate(cid.hex)
             if options.cache is not None:
                 gens = [g for g in map(generation, commit.parents) if g is not None]
                 if gens:
                     recorded[cid] = max(gens) + 1
-    finally:
-        if helper is not None:
-            helper.stop()
+
+    deferred: list[tuple[bytes, bytes, bytes]] = []
+
+    def defer(public: bytes, signature: bytes, digest: bytes) -> bool:
+        deferred.append((public, signature, digest))
+        return True
+
+    error = None
+    try:
+        check_all(defer)
+    except VouchError as exc:
+        error = exc
+    helper_verified = _check_deferred(deferred)
+    if helper_verified is None:
+        signers.clear()
+        recorded.clear()
+        check_all(None)
+        helper_verified = 0
+    elif error is not None:
+        raise error
 
     if options.cache is not None:
         options.cache.write(cache_key, intro, recorded, cached)
@@ -761,6 +712,6 @@ def authenticate_repository(
         policies_parsed=reader.policies_parsed,
         ancestors=ancestors,
         signers=signers,
-        helper_verified=proofs.hits,
+        helper_verified=helper_verified,
         generation=generation,
     )

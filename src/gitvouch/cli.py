@@ -168,8 +168,9 @@ def cmd_update(args: argparse.Namespace) -> int:
     if unreadable is not None:
         raise unreadable
 
-    # Metadata was re-read from a now-authenticated commit, so the
-    # primary URL it names can be trusted.
+    # Metadata was read once, before authentication, from the tip that
+    # has now been authenticated, so the primary URL it names can be
+    # trusted.
     warning = channel.staleness_check(spec.url, metadata)
     if warning is not None:
         print(f"gitvouch: warning: channel '{spec.name}': {warning}", file=sys.stderr)

@@ -7,6 +7,7 @@ an ObjectId, a ``"ref: <target>"`` style symref target string, or None.
 from __future__ import annotations
 
 from gitvouch.gitstore.objects import (
+    CorruptObject,
     ObjectId,
     ObjectNotFound,
     RawObject,
@@ -30,7 +31,10 @@ def peel_to_commit(store, oid: ObjectId) -> ObjectId:
 def _tag_target(obj: RawObject) -> ObjectId:
     for line in obj.payload.split(b"\n"):
         if line.startswith(b"object "):
-            return ObjectId.from_hex(line[7:])
+            try:
+                return ObjectId.from_hex(line[7:])
+            except ValueError as exc:
+                raise CorruptObject(f"tag object: {exc}") from None
         if line == b"":
             break
     raise ObjectNotFound("tag object without 'object' header")

@@ -10,7 +10,7 @@ trying every collision candidate.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Container
+from collections.abc import Callable
 from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
@@ -51,36 +51,20 @@ class BadSignature(VouchError):
 _DIGESTS = {HASH_SHA256: hashlib.sha256, HASH_SHA512: hashlib.sha512}
 _VERIFIABLE = attrgetter("verifiable")
 
+# Decides an Ed25519 check as ``ed25519.Engine.verify`` does.
+Ed25519Verify = Callable[[bytes, bytes, bytes], bool]
+
 
 class VerifiedSignature(NamedTuple):
-    """Who made a valid signature. ``proof`` is the Ed25519 check that
-    passed, as :func:`ed25519_proof` spells it; None for RSA. A tuple,
-    so two results are equal only when their proofs are too."""
+    """Who made a valid signature."""
 
     primary_fingerprint: Fingerprint
     key_fingerprint: Fingerprint
-    proof: bytes | None = None
-
-    def __repr__(self) -> str:
-        return (f"VerifiedSignature(primary_fingerprint={self.primary_fingerprint!r}, "
-                f"key_fingerprint={self.key_fingerprint!r})")
 
 
 # The factory for the one result built per commit: the fields in order,
 # as one tuple, built in C rather than by the generated ``__new__``.
 _new_verified = partial(tuple.__new__, VerifiedSignature)
-
-
-# An Ed25519 check as one record: the digest's length, the 32-byte
-# public key, the 64-byte signature, and the digest padded to 64 bytes.
-PROOF_SIZE = 1 + 32 + 64 + 64
-
-
-def ed25519_proof(material: bytes, raw: bytes, digest: bytes) -> bytes:
-    """The record of checking signature ``raw`` over ``digest`` with the
-    Ed25519 public key ``material``. It is :data:`PROOF_SIZE` bytes long
-    only for a 32-byte key, so no other key's check can share it."""
-    return bytes((len(digest),)) + material + raw + digest.ljust(64, b"\0")
 
 
 def _canonical_payload(payload: bytes, sig_type: int) -> bytes:
@@ -112,11 +96,11 @@ def _rsa_public_key(key: PublicKey):
 
 def _check_one(
     key: PublicKey, sig: SignaturePacket, digest: bytes, keyring: Keyring,
-    proofs: Container[bytes],
-) -> bytes | None:
-    """Check ``sig`` with ``key``; return the Ed25519 proof, or None for
-    RSA. An Ed25519 check must pass :func:`ed25519.refusal` first; then
-    one whose exact proof is in ``proofs`` is not repeated."""
+    ed25519_verify: Ed25519Verify | None,
+) -> None:
+    """Check ``sig`` with ``key``. An Ed25519 check must pass
+    :func:`ed25519.refusal` first; then ``ed25519_verify``, or the
+    engine when it is None, decides it."""
     if key.algorithm == "ed25519":
         r, s = sig.material
         try:
@@ -126,12 +110,9 @@ def _check_one(
         refused = ed25519.refusal(key.material, raw)
         if refused is not None:
             raise BadSignature(f"Ed25519 verification failed: {refused}")
-        proof = ed25519_proof(key.material, raw, digest)
-        if not (proofs and proof in proofs) and not ed25519.engine().verify(
-                key.material, raw, digest):
+        if not (ed25519_verify or ed25519.engine().verify)(key.material, raw, digest):
             raise BadSignature("Ed25519 verification failed: invalid signature")
-        return proof
-    if key.algorithm == "rsa":
+    elif key.algorithm == "rsa":
         from cryptography.exceptions import InvalidSignature
         from cryptography.hazmat.primitives import hashes
         from cryptography.hazmat.primitives.asymmetric import padding, utils
@@ -145,22 +126,20 @@ def _check_one(
             )
         except (InvalidSignature, ValueError, OverflowError) as exc:
             raise BadSignature(f"RSA verification failed: {exc}") from exc
-        return None
-    raise Unsupported(f"cannot verify with {key.algorithm} key")
+    else:
+        raise Unsupported(f"cannot verify with {key.algorithm} key")
 
 
 def verify_detailed(
     sig: SignaturePacket, payload: bytes, keyring: Keyring,
-    *, proofs: Container[bytes] = frozenset(),
+    *, ed25519_verify: Ed25519Verify | None = None,
 ) -> VerifiedSignature:
-    """Verify ``sig`` over ``payload`` with a key of ``keyring``.
-
-    ``proofs`` holds :func:`ed25519_proof` records of Ed25519 checks
-    already known to pass; a check whose exact record is there skips
-    only the public-key operation. Every other check runs as usual.
-    """
+    """Verify ``sig`` over ``payload`` with a key of ``keyring``. An
+    Ed25519 check that passes the strict rule is decided by
+    ``ed25519_verify(public, signature, digest)``, the engine when None;
+    a caller may answer True and check later. RSA is checked here."""
     hasher = _hash_for(sig)(_canonical_payload(payload, sig.sig_type))
-    return _verify_digest(sig, hasher, keyring, proofs)
+    return _verify_digest(sig, hasher, keyring, ed25519_verify)
 
 
 def verify_binding(sig: SignaturePacket, primary: KeyPacket, subkey: KeyPacket,
@@ -173,7 +152,7 @@ def verify_binding(sig: SignaturePacket, primary: KeyPacket, subkey: KeyPacket,
     if sig.sig_type != SIG_SUBKEY_BINDING:
         raise BadSignature(f"signature type {sig.sig_type:#04x} is not a subkey binding")
     hasher = _hash_for(sig)(key_hash_input(primary.body) + key_hash_input(subkey.body))
-    _verify_digest(sig, hasher, Keyring([primary_key]), frozenset())
+    _verify_digest(sig, hasher, Keyring([primary_key]), None)
 
 
 def _hash_for(sig: SignaturePacket):
@@ -188,7 +167,8 @@ def _hash_for(sig: SignaturePacket):
 
 
 def _verify_digest(
-    sig: SignaturePacket, hasher, keyring: Keyring, proofs: Container[bytes],
+    sig: SignaturePacket, hasher, keyring: Keyring,
+    ed25519_verify: Ed25519Verify | None,
 ) -> VerifiedSignature:
     """Finish ``hasher``, fed with the signed data, with ``sig``'s
     trailer, and check the result with a key of ``keyring``."""
@@ -221,8 +201,8 @@ def _verify_digest(
                     f"algorithm {sig.pubkey_algorithm} signature names "
                     f"{key.algorithm} key {key.fingerprint.display()}"
                 )
-            proof = _check_one(key, sig, digest, keyring, proofs)
-            return _new_verified((key.primary_fingerprint, key.fingerprint, proof))
+            _check_one(key, sig, digest, keyring, ed25519_verify)
+            return _new_verified((key.primary_fingerprint, key.fingerprint))
         except BadSignature as exc:
             last = exc
     assert last is not None

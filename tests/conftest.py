@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 
 import pytest
 
@@ -29,3 +30,13 @@ def no_leftover_child():
         return
     state = "still running" if pid == 0 else f"pid {pid} unreaped"
     pytest.fail(f"test left a child process behind ({state})")
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_thread():
+    """Fail a test that leaves a thread running that it started."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"test left threads running: {', '.join(left)}")

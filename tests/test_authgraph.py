@@ -426,6 +426,27 @@ class TestKeyring:
         assert len(ring) == 1
         assert any("README" in r.message for r in caplog.records)
 
+    def test_hostile_tree_shapes_read_each_object_once(self):
+        # A chain of 3,000 nested trees, and 14 levels of trees whose two
+        # entries both name the tree below: 2**14 paths over 15 trees.
+        alice = fixtures.key("alice")
+        store = MemoryStore()
+        key_blob = store.add_blob(fixtures.export_public(alice).encode())
+        deep = store.add_tree([TreeEntry("100644", "alice.key", key_blob)])
+        for _ in range(3000):
+            deep = store.add_tree([TreeEntry("40000", "d", deep)])
+        wide = store.add_tree([TreeEntry("100644", "key", key_blob)])
+        for _ in range(14):
+            wide = store.add_tree([TreeEntry("40000", "a", wide), TreeEntry("40000", "b", wide)])
+        root = store.add_tree([TreeEntry("40000", "deep", deep), TreeEntry("40000", "wide", wide)])
+        store.set_ref("refs/heads/keyring", store.add_commit(root, message="keys\n"))
+        counting = fixtures.CountingStore(store)
+        ring = load_keyring(counting, "refs/heads/keyring")
+        assert alice.fingerprint in ring
+        # The commit, the root, 3,001 + 15 trees and the one blob.
+        assert counting.reads == 1 + 1 + 3001 + 15 + 1
+        assert max(counting.reads_by_id.values()) == 1
+
     def test_empty_keyring_fatal(self):
         store = MemoryStore()
         cid = store.commit_files({"README": b"only text\n"}, message="no keys\n")

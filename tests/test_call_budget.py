@@ -23,7 +23,7 @@ ALLOWANCE = 1.2
 
 
 def test_cold_run_stays_within_its_call_budget(monkeypatch):
-    monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 10**9)
+    monkeypatch.setattr(authgraph, "WORKER_MIN_CHECKS", 10**9)
     chain = fixtures.linear_chain(64)
     # A first run loads what a process loads once, such as libsodium.
     authenticate_repository(chain.store, chain.intro, chain.ids[-1])

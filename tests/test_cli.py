@@ -91,9 +91,23 @@ class TestAuthenticateCommand:
         assert "stats: cache hits: 0" in err
         # One policy file at the root, one shared by every later commit.
         assert "stats: policy files parsed: 2" in err
-        # Five commits are too few to fork a helper for.
+        # Five checks are too few to start a helper thread for.
         assert "stats: signatures verified by helper: 0" in err
         assert f"stats: ed25519 engine: {ed25519.engine().name}" in err
+
+    def test_malformed_tag_is_a_parse_error_not_a_traceback(self, tmp_path, state_dir, capsys):
+        fig = fixtures.fig4()
+        tag = fig.store.add_object(
+            "tag", b"object " + b"z" * 40 + b"\ntype commit\ntag bad\n\nbad\n")
+        fig.store.set_ref("refs/tags/bad", tag)
+        path = fixtures.export_to_disk(fig.store, str(tmp_path / "repo.git"))
+        code = cli.main([
+            "authenticate", fig.intro.commit.hex, fig.alice.fingerprint.display(),
+            "--repository", path, "--end", "bad", "--state-dir", state_dir,
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert "CorruptObject" in err and "Traceback" not in err
 
     def test_warm_cache_second_run(self, fig4_disk, state_dir, capsys):
         args = [
@@ -306,7 +320,7 @@ class TestUpdateCommand:
         self, tmp_path, state_dir, capsys, monkeypatch, helper
     ):
         if helper:
-            monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
+            monkeypatch.setattr(authgraph, "WORKER_MIN_CHECKS", 2)
         repo = make_update_repo(tmp_path)
         channels = write_channels(
             tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]

@@ -52,7 +52,6 @@ from gitvouch.sigverify.armor import (
     crc24,
 )
 from gitvouch.sigverify.packets import HASH_SHA1, TAG_PUBLIC_KEY, TAG_PUBLIC_SUBKEY
-from gitvouch.sigverify.verify import PROOF_SIZE, ed25519_proof
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -819,60 +818,53 @@ class TestMutationDetection:
             pass
 
 
-class TestProofs:
-    """A proof skips the Ed25519 operation for its exact check only."""
+class TestEd25519VerifyKeyword:
+    """``ed25519_verify`` decides an Ed25519 check in place of the
+    engine, given the key, the signature and the digest; RSA never
+    reaches it."""
 
     PAYLOAD = b"payload\n"
 
-    def forged(self):
+    def test_receives_the_check_and_decides_it(self):
         key = fixtures.key("alice")
         ring = Keyring(load_keys(export_public(key)))
         sig = first_signature(sign_for_tests(self.PAYLOAD, key))
-        proof = verify_detailed(sig, self.PAYLOAD, ring).proof
         r, s = sig.material
         forged = sig._replace(material=(r, s ^ 1))
-        return ring, proof, forged
+        raw = r.to_bytes(32, "big") + (s ^ 1).to_bytes(32, "big")
+        digest = hashlib.sha256(self.PAYLOAD + sig.trailer()).digest()
+        seen = []
 
-    def test_proof_layout(self):
-        _, proof, forged = self.forged()
-        assert len(proof) == PROOF_SIZE
-        assert proof[0] == 32  # SHA-256
-        material = fixtures.key("alice").public_point
-        assert proof[1:33] == material
+        def answer(value):
+            def verify(public, signature, digest):
+                seen.append((public, signature, digest))
+                return value
+            return verify
 
-    def test_other_check_does_not_skip(self):
-        ring, proof, forged = self.forged()
-        material, digest = proof[1:33], proof[97:97 + proof[0]]
-        r, s = forged.material
-        raw = r.to_bytes(32, "big") + s.to_bytes(32, "big")
-        other_key = fixtures.key("bob").public_point
-        for proofs in (
-            {proof},                                            # the true signature
-            {ed25519_proof(other_key, raw, digest)},            # another key
-            {ed25519_proof(material, raw, bytes(32))},          # another digest
-            {ed25519_proof(material, raw, digest + bytes(32))},  # the digest padded
-            {ed25519_proof(material, raw, digest)[:-1]},        # cut short
-        ):
-            with pytest.raises(BadSignature):
-                verify_detailed(forged, self.PAYLOAD, ring, proofs=proofs)
         with pytest.raises(BadSignature):
             verify_detailed(forged, self.PAYLOAD, ring)
-        exact = {ed25519_proof(material, raw, digest)}
-        assert verify_detailed(forged, self.PAYLOAD, ring, proofs=exact).proof in exact
+        with pytest.raises(BadSignature, match="invalid signature"):
+            verify_detailed(sig, self.PAYLOAD, ring, ed25519_verify=answer(False))
+        verified = verify_detailed(forged, self.PAYLOAD, ring, ed25519_verify=answer(True))
+        assert verified.primary_fingerprint == key.fingerprint
+        assert seen[1] == (key.public_point, raw, digest)
+        assert len(seen) == 2
 
-    def test_rsa_always_checked(self):
+    def test_rsa_never_reaches_it(self):
         rita = fixtures.RsaTestKey()
         ring = Keyring(load_keys(rita.export_binary()))
         sig = first_signature(rita.sign(b"rsa payload\n"))
-        assert verify_detailed(sig, b"rsa payload\n", ring).proof is None
         forged = sig._replace(material=sig.material ^ 1)
+        seen = []
 
-        class Everything:
-            def __contains__(self, proof):
-                return True
+        def everything(*check):
+            seen.append(check)
+            return True
 
+        assert verify_detailed(sig, b"rsa payload\n", ring, ed25519_verify=everything)
         with pytest.raises(BadSignature):
-            verify_detailed(forged, b"rsa payload\n", ring, proofs=Everything())
+            verify_detailed(forged, b"rsa payload\n", ring, ed25519_verify=everything)
+        assert seen == []
 
 
 # -- Ed25519 engines ----------------------------------------------------------
@@ -913,11 +905,6 @@ class TestIgnoredOpenPGPFeaturesEachEngine(TestIgnoredOpenPGPFeatures):
 
 @pytest.mark.usefixtures("ed25519_engine")
 class TestMutationDetectionEachEngine(TestMutationDetection):
-    pass
-
-
-@pytest.mark.usefixtures("ed25519_engine")
-class TestProofsEachEngine(TestProofs):
     pass
 
 
@@ -962,14 +949,19 @@ class TestStrictRule:
         with pytest.raises(BadSignature, match="S is not below the group order"):
             self.check(public, sig, public.material, raw)
 
-    def test_rule_applies_before_a_proof(self):
+    def test_rule_applies_before_ed25519_verify(self):
         public, sig = self.signed()
         ring = Keyring([dataclasses.replace(public, material=IDENTITY)])
         forged = sig._replace(material=(int.from_bytes(IDENTITY, "big"), 0))
-        digest = hashlib.sha256(self.PAYLOAD + forged.trailer()).digest()
-        proofs = {ed25519_proof(IDENTITY, IDENTITY + bytes(32), digest)}
+        seen = []
+
+        def everything(*check):
+            seen.append(check)
+            return True
+
         with pytest.raises(BadSignature, match="small order"):
-            verify_detailed(forged, self.PAYLOAD, ring, proofs=proofs)
+            verify_detailed(forged, self.PAYLOAD, ring, ed25519_verify=everything)
+        assert seen == []
 
 
 def test_non_canonical_keys_refused():

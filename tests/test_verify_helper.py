@@ -1,13 +1,14 @@
-"""The helper process that proves Ed25519 checks for a cold run.
+"""Deferred Ed25519 checks, run on the caller's thread and one helper
+thread.
 
-A run with a helper must reach the same verdict, name the same
-offending commit and record the same signers as a run without one,
-whatever the helper sends, and must leave no child process and no file
-descriptor behind.
+A run must reach the same verdict, name the same offending commit and
+record the same signers as a run that makes every check inline, whatever
+the helper thread does, and must leave no thread behind.
 """
 
-import os
+import dataclasses
 import random
+import sys
 import threading
 import time
 
@@ -17,33 +18,20 @@ from gitvouch import authgraph
 from gitvouch.authgraph import AuthOptions, authenticate_repository
 from gitvouch.errors import VouchError
 from gitvouch.gitstore import MemoryStore
+from gitvouch.sigverify import ed25519
+from gitvouch.sigverify.fingerprint import Fingerprint
+from gitvouch.sigverify.keys import Keyring, load_keys
 from gitvouch.sigverify.packets import ALGO_EDDSA
+from openpgp_writer import export_public
 
 import fixtures
 
-NEVER = 10**9
+IDENTITY = (1).to_bytes(32, "little")
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the processes forked while a test runs."""
-    real = os.fork
-    count = []
-
-    def fork():
-        pid = real()
-        if pid:
-            count.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return count
-
-
-def outcome(store, intro, target, threshold, monkeypatch, options=None):
+def outcome(store, intro, target, options=None):
     """(error class name, offending commit, signers, helper count) of one
-    run, forking a helper for ``threshold`` or more commits."""
-    monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", threshold)
+    run."""
     try:
         report = authenticate_repository(store, intro, target, options)
     except VouchError as exc:
@@ -51,11 +39,19 @@ def outcome(store, intro, target, threshold, monkeypatch, options=None):
     return None, None, report.signers, report.helper_verified
 
 
-def chain_failing_at(n: int, bad: int, kind: str = "forged"):
-    """A linear chain of ``n`` commits signed by alice, except that
-    commit ``bad`` carries an Ed25519 signature that does not verify
-    (``forged``) or is signed by mallory, who is in the keyring and
-    authorized by nobody (``unauthorized``)."""
+def inline_outcome(monkeypatch, *args):
+    """:func:`outcome` of a run whose deferred checks count as failed, so
+    that it makes every check inline, as a run without deferral does."""
+    with monkeypatch.context() as m:
+        m.setattr(authgraph, "_check_deferred", lambda checks: None)
+        return outcome(*args)
+
+
+def chain_failing_at(n: int, bad: dict[int, str]):
+    """A linear chain of ``n`` commits signed by alice, except that each
+    commit ``i`` of ``bad`` carries an Ed25519 signature that does not
+    verify (``bad[i] == "forged"``) or is signed by mallory, who is in
+    the keyring and authorized by nobody (``"unauthorized"``)."""
     alice, mallory = fixtures.key("alice"), fixtures.key("mallory")
     store = MemoryStore()
     fixtures.add_keyring_branch(store, [alice, mallory])
@@ -65,77 +61,136 @@ def chain_failing_at(n: int, bad: int, kind: str = "forged"):
     def forged(payload):
         return fixtures.claim_algorithm(good(payload), ALGO_EDDSA, payload)
 
+    sign = {"forged": forged, "unauthorized": fixtures.signer(mallory)}
     ids = []
     for i in range(n):
-        sign = good
-        if i == bad:
-            sign = forged if kind == "forged" else fixtures.signer(mallory)
-        ids.append(store.add_commit(tree, ids[-1:], message=f"commit {i}\n", sign_with=sign))
+        ids.append(store.add_commit(tree, ids[-1:], message=f"commit {i}\n",
+                                    sign_with=sign.get(bad.get(i), good)))
     return store, authgraph.ChannelIntroduction(ids[0], alice.fingerprint), ids
 
 
-def open_fds() -> set[str]:
-    return set(os.listdir("/proc/self/fd"))
+def engine_by_thread(monkeypatch, *, caller=None, helper=None):
+    """Route the engine's checks on the caller's thread through
+    ``caller(verify, *check)`` and on any other thread through
+    ``helper(verify, *check)``, where ``verify`` is the real check."""
+    real = ed25519.engine()
+
+    def verify(*check):
+        on_caller = threading.current_thread() is threading.main_thread()
+        route = caller if on_caller else helper
+        return route(real.verify, *check) if route else real.verify(*check)
+
+    monkeypatch.setattr(ed25519, "engine", lambda: ed25519.Engine(real.name, verify))
 
 
-def assert_no_child() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while a test runs."""
+    real = threading.Thread.start
+    threads = []
+
+    def start(self):
+        threads.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return threads
+
+
+def assert_no_thread_left(started) -> None:
+    assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == 1
+
+
+@pytest.fixture
+def eager_helper(monkeypatch):
+    """Start the helper thread for any run of two or more checks."""
+    monkeypatch.setattr(authgraph, "WORKER_MIN_CHECKS", 2)
 
 
 class TestHelperReport:
-    def test_disabled_helper_verifies_nothing(self, monkeypatch, forks):
+    def test_disabled_helper_verifies_nothing(self, monkeypatch, started):
         chain = fixtures.linear_chain(300)
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", NEVER)
+        monkeypatch.setattr(authgraph, "WORKER_MIN_CHECKS", 10**9)
         report = authenticate_repository(chain.store, chain.intro, chain.ids[-1])
         assert report.helper_verified == 0
         assert report.checked == 299
-        assert forks == []
+        assert started == []
 
-    def test_forced_helper_same_verdict_and_signers(self, monkeypatch, forks):
+    def test_default_threshold_starts_helper_for_long_runs_only(self, started):
+        n = authgraph.WORKER_MIN_CHECKS
+        assert n > 20
+        short = fixtures.linear_chain(n)
+        assert authenticate_repository(short.store, short.intro, short.ids[-1]).checked == n - 1
+        assert started == []
+        long = fixtures.linear_chain(n + 1)
+        assert authenticate_repository(long.store, long.intro, long.ids[-1]).checked == n
+        assert len(started) == 1
+
+    def test_forced_helper_same_verdict_and_signers(self, monkeypatch, started):
         chain = fixtures.linear_chain(300)
-        off = outcome(chain.store, chain.intro, chain.ids[-1], NEVER, monkeypatch)
-        on = outcome(chain.store, chain.intro, chain.ids[-1], 1, monkeypatch)
-        assert len(forks) == 1
+        on = outcome(chain.store, chain.intro, chain.ids[-1])
+        assert len(started) == 1
+        off = inline_outcome(monkeypatch, chain.store, chain.intro, chain.ids[-1])
         assert on[:3] == off[:3]
         assert off[0] is None and len(off[2]) == 299
         assert 0 <= on[3] <= 299
 
-    def test_checks_after_helper_finished_use_its_proofs(self, monkeypatch):
-        # The first check waits until the helper has long proved the
-        # whole chain; each later check finds its proof.
-        chain = fixtures.linear_chain(120)
-        real = authgraph.authenticate_commit
+    def test_helper_takes_the_checks_a_stalled_caller_leaves(self, monkeypatch):
+        # The caller's first deferred check, after the introduction's,
+        # which is made inline, stalls until the helper thread has long
+        # made every other one.
+        chain = fixtures.linear_chain(200)
         calls = []
 
-        def slow_first(*args, **kwargs):
-            if not calls:
-                time.sleep(1.0)
+        def slow_second(verify, *check):
             calls.append(1)
-            return real(*args, **kwargs)
+            if len(calls) == 2:
+                time.sleep(1.0)
+            return verify(*check)
 
-        monkeypatch.setattr(authgraph, "authenticate_commit", slow_first)
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
+        engine_by_thread(monkeypatch, caller=slow_second)
         report = authenticate_repository(chain.store, chain.intro, chain.ids[-1])
-        assert report.checked == 119
-        assert report.helper_verified == 118
-
-    def test_default_threshold_forks_for_long_runs_only(self, forks):
-        assert authgraph.HELPER_MIN_COMMITS > 20
-        short = fixtures.linear_chain(20)
-        authenticate_repository(short.store, short.intro, short.ids[-1])
-        assert forks == []
+        assert report.checked == 199
+        assert report.helper_verified == 198 and len(calls) == 2
 
 
+def test_each_deferred_check_runs_once(monkeypatch):
+    # Both threads take checks from one iterator while the interpreter
+    # switches between them as often as it can.
+    ran = []
+
+    def record(*check):
+        ran.append((check, threading.current_thread() is threading.main_thread()))
+        return True
+
+    monkeypatch.setattr(ed25519, "engine", lambda: ed25519.Engine("record", record))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            ran.clear()
+            checks = [(bytes([i % 256]) * 32, i.to_bytes(64, "big"), b"") for i in range(2000)]
+            expected = sorted(checks)
+            helper = authgraph._check_deferred(checks)
+            assert sorted(check for check, _ in ran) == expected
+            assert helper == sum(not on_caller for _, on_caller in ran)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("eager_helper")
 class TestHelperVerdicts:
     def test_random_repositories_match_without_helper(self, monkeypatch):
         rng = random.Random(20261019)
         failing = 0
         for _ in range(40):
             repo = fixtures.random_repository(rng, max_commits=24)
-            options = AuthOptions(historical_authorizations=repo.historical)
-            off = outcome(repo.store, repo.intro, repo.target, NEVER, monkeypatch, options)
-            on = outcome(repo.store, repo.intro, repo.target, 1, monkeypatch, options)
+            args = (repo.store, repo.intro, repo.target,
+                    AuthOptions(historical_authorizations=repo.historical))
+            on = outcome(*args)
+            off = inline_outcome(monkeypatch, *args)
             assert on[:3] == off[:3]
             assert (off[0] is None) == repo.expect_ok
             failing += off[0] is not None
@@ -145,137 +200,132 @@ class TestHelperVerdicts:
         (1, "forged"), (150, "forged"), (299, "forged"), (150, "unauthorized"),
     ])
     def test_chain_failing_at_one_commit(self, monkeypatch, bad, kind):
-        store, intro, ids = chain_failing_at(300, bad, kind)
-        off = outcome(store, intro, ids[-1], NEVER, monkeypatch)
-        on = outcome(store, intro, ids[-1], 1, monkeypatch)
+        store, intro, ids = chain_failing_at(300, {bad: kind})
+        on = outcome(store, intro, ids[-1])
+        off = inline_outcome(monkeypatch, store, intro, ids[-1])
         expected = "BadSignature" if kind == "forged" else "Unauthorized"
         assert off[:2] == (expected, ids[bad].hex)
         assert on == off
 
+    def test_forgery_before_an_unauthorized_signer_is_reported(self):
+        # The first pass stops at the unauthorized commit; the forgery
+        # below it still decides the verdict.
+        store, intro, ids = chain_failing_at(60, {20: "forged", 40: "unauthorized"})
+        assert outcome(store, intro, ids[-1])[:2] == ("BadSignature", ids[20].hex)
 
-def idle(commits, keyring, fd):
-    try:
-        threading.Event().wait(60)
-    finally:
-        os._exit(0)
+    def test_key_id_collision_credits_the_key_that_verifies(self, monkeypatch):
+        # Every key shares one key id; the signatures name only the key
+        # id, and the first candidate, alice's key, does not verify them.
+        monkeypatch.setattr(Fingerprint, "key_id", property(lambda self: b"\x42" * 8))
+        alice, bob = fixtures.key("alice"), fixtures.key("bob")
+        store = MemoryStore()
+        fixtures.add_keyring_branch(store, [alice, bob])
+        tree = store.add_tree_from_files(
+            {".guix-authorizations": fixtures.authz_bytes(alice, bob)})
+        sign = fixtures.signer(bob, issuer_fingerprint=False)
+        ids = []
+        for i in range(10):
+            ids.append(store.add_commit(tree, ids[-1:], message=f"commit {i}\n",
+                                        sign_with=sign))
+        intro = authgraph.ChannelIntroduction(ids[0], bob.fingerprint)
+        report = authenticate_repository(store, intro, ids[-1])
+        assert report.checked == 9
+        assert set(report.signers.values()) == {bob.fingerprint}
+
+    def test_small_order_key_is_never_deferred(self, monkeypatch):
+        # Bob's key is replaced by the small-order identity point; the
+        # strict rule refuses it before any check is handed on.
+        alice, bob = fixtures.key("alice"), fixtures.key("bob")
+        store = MemoryStore()
+        fixtures.add_keyring_branch(store, [alice, bob])
+        tree = store.add_tree_from_files(
+            {".guix-authorizations": fixtures.authz_bytes(alice, bob)})
+        ids = []
+        for i in range(10):
+            signer = bob if i == 5 else alice
+            ids.append(store.add_commit(tree, ids[-1:], message=f"commit {i}\n",
+                                        sign_with=fixtures.signer(signer)))
+        ring = Keyring(load_keys(export_public(alice)) + [
+            dataclasses.replace(load_keys(export_public(bob))[0], material=IDENTITY)])
+        monkeypatch.setattr(authgraph, "load_keyring", lambda store, ref: ring)
+        real = authgraph._check_deferred
+        handed = []
+
+        def check_deferred(checks):
+            handed.extend(checks)
+            return real(checks)
+
+        monkeypatch.setattr(authgraph, "_check_deferred", check_deferred)
+        intro = authgraph.ChannelIntroduction(ids[0], alice.fingerprint)
+        with pytest.raises(VouchError, match="small order") as info:
+            authenticate_repository(store, intro, ids[-1])
+        assert type(info.value).__name__ == "BadSignature"
+        assert info.value.commit_id == ids[5].hex
+        assert len(handed) == 4 and IDENTITY not in {public for public, _, _ in handed}
 
 
-def dies(commits, keyring, fd):
-    os._exit(0)
+def idle(verify, *check):
+    time.sleep(0.05)
+    return verify(*check)
 
 
-def garbage(commits, keyring, fd):
-    try:
-        rng = random.Random(7)
-        os.write(fd, rng.randbytes(authgraph._RECORD.size * 7 // 2))
-    finally:
-        os._exit(0)
+def dies(verify, *check):
+    raise RuntimeError("the helper thread fails")
 
 
-def near_misses(commits, keyring, fd):
-    """Every true record with one proof byte flipped."""
-    try:
-        for index in range(len(commits) - 1, -1, -1):
-            try:
-                proof = bytearray(authgraph._verify_commit(commits[index], keyring).proof)
-            except VouchError:
-                continue
-            proof[index % len(proof)] ^= 1
-            os.write(fd, authgraph._RECORD.pack(index, bytes(proof)))
-    finally:
-        os._exit(0)
+def garbage(verify, *check):
+    return False
 
 
+@pytest.mark.usefixtures("eager_helper")
 class TestHelperSafety:
-    @pytest.mark.parametrize("helper", [idle, dies, garbage, near_misses])
+    @pytest.mark.parametrize("helper", [idle, dies, garbage])
     def test_verdicts_do_not_depend_on_what_helper_sends(self, monkeypatch, helper):
-        monkeypatch.setattr(authgraph, "_prove", helper)
+        engine_by_thread(monkeypatch, helper=helper)
         chain = fixtures.linear_chain(120)
-        ok = outcome(chain.store, chain.intro, chain.ids[-1], 1, monkeypatch)
-        assert ok[0] is None and len(ok[2]) == 119 and ok[3] == 0
-        store, intro, ids = chain_failing_at(120, 60)
-        assert outcome(store, intro, ids[-1], 1, monkeypatch)[:2] == (
-            "BadSignature", ids[60].hex)
+        ok = outcome(chain.store, chain.intro, chain.ids[-1])
+        assert ok[0] is None and len(ok[2]) == 119
+        assert ok[3] == 0 if helper in (dies, garbage) else 0 <= ok[3] <= 119
+        store, intro, ids = chain_failing_at(120, {60: "forged"})
+        assert outcome(store, intro, ids[-1])[:2] == ("BadSignature", ids[60].hex)
 
-    def test_nothing_left_after_success(self, monkeypatch, forks):
+    def test_nothing_left_after_success(self, started):
         chain = fixtures.linear_chain(200)
-        before = open_fds()
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
         authenticate_repository(chain.store, chain.intro, chain.ids[-1])
-        assert len(forks) == 1
-        assert open_fds() == before
-        assert_no_child()
+        assert len(started) == 1
+        assert_no_thread_left(started)
 
-    def test_nothing_left_after_early_failure(self, monkeypatch, forks):
-        store, intro, ids = chain_failing_at(200, 1)
-        monkeypatch.setattr(authgraph, "_prove", idle)
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
-        before = open_fds()
+    def test_nothing_left_after_early_failure(self, monkeypatch, started):
+        store, intro, ids = chain_failing_at(200, {1: "forged"})
+        engine_by_thread(monkeypatch, helper=idle)
         with pytest.raises(VouchError):
             authenticate_repository(store, intro, ids[-1])
-        assert len(forks) == 1
-        assert open_fds() == before
-        assert_no_child()
+        assert len(started) == 1
+        assert_no_thread_left(started)
 
-    def test_nothing_left_after_keyboard_interrupt(self, monkeypatch, forks):
+    def test_nothing_left_after_keyboard_interrupt(self, monkeypatch, started):
         chain = fixtures.linear_chain(200)
-        real = authgraph.authenticate_commit
         calls = []
 
-        def interrupted(*args, **kwargs):
+        def interrupted(verify, *check):
             calls.append(1)
             if len(calls) == 10:
                 raise KeyboardInterrupt
-            return real(*args, **kwargs)
+            return verify(*check)
 
-        monkeypatch.setattr(authgraph, "authenticate_commit", interrupted)
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
-        before = open_fds()
+        engine_by_thread(monkeypatch, caller=interrupted, helper=idle)
         with pytest.raises(KeyboardInterrupt):
             authenticate_repository(chain.store, chain.intro, chain.ids[-1])
-        assert len(forks) == 1
-        assert open_fds() == before
-        assert_no_child()
+        assert len(started) == 1
+        assert_no_thread_left(started)
 
-    def test_nothing_left_after_interrupted_start(self, monkeypatch, forks):
-        # The helper's start is cut short after the fork.
+    def test_nothing_left_after_interrupted_start(self, monkeypatch):
         chain = fixtures.linear_chain(200)
 
-        def interrupted(fd, blocking):
+        def interrupted(self):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(os, "set_blocking", interrupted)
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
-        before = open_fds()
+        monkeypatch.setattr(threading.Thread, "start", interrupted)
         with pytest.raises(KeyboardInterrupt):
             authenticate_repository(chain.store, chain.intro, chain.ids[-1])
-        assert len(forks) == 1
-        assert open_fds() == before
-        assert_no_child()
-
-    def test_no_fork_while_another_thread_runs(self, monkeypatch, forks):
-        chain = fixtures.linear_chain(200)
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            report = authenticate_repository(chain.store, chain.intro, chain.ids[-1])
-        finally:
-            release.set()
-            other.join()
-        assert forks == [] and report.helper_verified == 0
-
-    def test_no_fork_on_one_cpu(self, monkeypatch, forks):
-        chain = fixtures.linear_chain(200)
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        report = authenticate_repository(chain.store, chain.intro, chain.ids[-1])
-        assert forks == [] and report.helper_verified == 0
-
-    def test_no_fork_without_fork(self, monkeypatch):
-        chain = fixtures.linear_chain(200)
-        monkeypatch.setattr(authgraph, "HELPER_MIN_COMMITS", 1)
-        monkeypatch.delattr(os, "fork")
-        report = authenticate_repository(chain.store, chain.intro, chain.ids[-1])
-        assert report.checked == 199 and report.helper_verified == 0
+        assert threading.active_count() == 1
