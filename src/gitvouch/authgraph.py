@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import os
-import tempfile
 import threading
 from binascii import hexlify
 from collections.abc import Callable, Iterator, Mapping, Set
@@ -33,7 +32,7 @@ from gitvouch.sigverify.fingerprint import Fingerprint
 from gitvouch.sigverify.keys import Keyring, load_keys
 from gitvouch.sigverify.packets import SignaturePacket, parse_packets
 from gitvouch.sigverify.verify import Ed25519Verify, VerifiedSignature, verify_detailed
-from gitvouch.statedir import default_state_dir
+from gitvouch.statedir import default_state_dir, replace_file
 
 logger = logging.getLogger(__name__)
 
@@ -223,17 +222,7 @@ class AuthCache:
             if known and self._append(path, header, lines):
                 return
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".cache-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(header + lines)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            replace_file(path, header + lines, ".cache-")
         except OSError as exc:
             logger.warning("could not write authentication cache %s: %s", key, exc)
 

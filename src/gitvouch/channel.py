@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import fcntl
 import os
-import tempfile
 import time
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from gitvouch.gitstore import graph
 from gitvouch.gitstore.objects import ObjectId
 from gitvouch.sexp import Atom, SexpSyntaxError, parse_all, print_sexp
 from gitvouch.sigverify.fingerprint import Fingerprint
+from gitvouch.statedir import replace_file
 
 CHANNEL_METADATA_FILE = ".guix-channel"
 
@@ -206,24 +206,18 @@ def fast_forward_check(
 
     1. ``SAME`` when the ids are equal;
     2. ``FAST_FORWARD`` when ``current`` is in ``ancestors``, with no walk;
-    3. when ``generation`` numbers both ids, only the walk that can
-       succeed, pruned below the number it looks for
-       (:func:`~gitvouch.gitstore.graph.ancestor_steps`): from
-       ``current`` looking for ``target`` (``DOWNGRADE``) when
-       ``target``'s number is lower, from ``target`` looking for
-       ``current`` (``FAST_FORWARD``) when it is higher, and none when
-       the numbers are equal. On a history numbered throughout, a
-       refused downgrade or an unrelated tip then reads only the
-       commits numbered between the two tips; commits without a number
-       (ancestors of the introduction, a merged foreign root) are
-       walked as without pruning. Otherwise, two breadth-first walks in
-       lockstep, one commit read from each per round, the same two
-       without pruning (the ``FAST_FORWARD`` one is needed only when
-       ``current`` is hidden from the proof, for instance behind an id
-       another run cached). The first to meet its goal answers, so
-       either relation costs about twice the commits between the two
-       tips, whatever lies behind the older one;
-    4. ``UNRELATED`` once the walks are spent.
+    3. two breadth-first walks in lockstep, one commit read from each
+       per round: from ``current`` looking for ``target``
+       (``DOWNGRADE``), and from ``target`` looking for ``current``
+       (``FAST_FORWARD``, needed only when ``current`` is hidden from
+       the proof, for instance behind an id another run cached). Both
+       are pruned by ``generation``
+       (:func:`~gitvouch.gitstore.graph.ancestor_steps`), so when both
+       tips are numbered the walk that cannot succeed reads nothing,
+       and on a history numbered throughout a refused downgrade or an
+       unrelated tip reads only the commits numbered between the two
+       tips. The first walk to meet its goal answers;
+    4. ``UNRELATED`` once both walks are spent.
 
     The order cannot change a verdict: over an acyclic history each id
     is an ancestor of the other only when the two are equal, so at most
@@ -234,29 +228,17 @@ def fast_forward_check(
     the reverse. A hostile cache can only shrink
     :attr:`AuthReport.ancestors` or falsify generation numbers, which
     costs more walking here or refuses an update, and never accepts a
-    downgrade.
+    downgrade. ``ObjectNotFound`` is raised only for a commit a walk
+    reads, so a ``current`` absent from the store may be ``UNRELATED``.
     """
     if current == target:
         store.read_object(current)
         return FastForwardVerdict.SAME
     if current in ancestors:
         return FastForwardVerdict.FAST_FORWARD
-    gens = (None, None) if generation is None else (generation(current), generation(target))
-    if None not in gens:
-        current_gen, target_gen = gens
-        if target_gen < current_gen:
-            verdict = FastForwardVerdict.DOWNGRADE
-            walk = graph.ancestor_steps(store, target, current, generation)
-        else:
-            store.read_object(current)  # a missing baseline raises, as the walks would
-            if target_gen == current_gen:
-                return FastForwardVerdict.UNRELATED
-            verdict = FastForwardVerdict.FAST_FORWARD
-            walk = graph.ancestor_steps(store, current, target, generation)
-        return verdict if any(walk) else FastForwardVerdict.UNRELATED
     walks = [
-        (FastForwardVerdict.DOWNGRADE, graph.ancestor_steps(store, target, current)),
-        (FastForwardVerdict.FAST_FORWARD, graph.ancestor_steps(store, current, target)),
+        (FastForwardVerdict.DOWNGRADE, graph.ancestor_steps(store, target, current, generation)),
+        (FastForwardVerdict.FAST_FORWARD, graph.ancestor_steps(store, current, target, generation)),
     ]
     while walks:
         for verdict, walk in list(walks):
@@ -392,18 +374,7 @@ def provenance_write(
         records.append(record)
         forms: list = [Atom("provenance"), [Atom("version"), Atom("0")]]
         forms.extend(_record_form(r) for r in records)
-        text = print_sexp(forms) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".provenance-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        replace_file(path, (print_sexp(forms) + "\n").encode("utf-8"), ".provenance-")
     return None
 
 

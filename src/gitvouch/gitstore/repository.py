@@ -127,9 +127,9 @@ class Repository:
         except (FileNotFoundError, NotADirectoryError):
             content = None
         if content is not None:
-            if content.startswith(b"ref: "):
-                return content[5:].decode("utf-8")
             try:
+                if content.startswith(b"ref: "):
+                    return content[5:].decode("utf-8")
                 return ObjectId.from_hex(content.decode("ascii"))
             except (ValueError, UnicodeDecodeError) as exc:
                 raise CorruptObject(f"{path}: malformed ref content") from exc

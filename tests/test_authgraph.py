@@ -866,6 +866,27 @@ class TestCache:
             report = authenticate_repository(fig.store, fig.intro, fig.f, options)
         assert report.checked == 5
 
+    def test_failed_replace_leaves_old_file_and_no_temporary(self, tmp_path, monkeypatch,
+                                                             caplog):
+        fig = fixtures.fig4()
+        cache = AuthCache(str(tmp_path / "state"))
+        cache.write("k", fig.intro, {fig.a: 0}, set())
+        path = cache._path("k")
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with caplog.at_level("WARNING"):
+            # Nothing known, so the file is replaced, not appended to.
+            cache.write("k", fig.intro, {fig.a: 0, fig.b: 1}, set())
+        assert "could not write authentication cache k: replace failed" in caplog.text
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(os.path.dirname(path)) == ["k"]
+
     def test_results_identical_cold_warm_corrupt(self, tmp_path):
         for mutation, expected in [
             (None, None),

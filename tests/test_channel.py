@@ -325,10 +325,30 @@ class TestGenerations:
                                          report.generation)
             assert verdict is _brute_verdict(fig.store, current, target)
             reads[current, target] = store.reads
-        # Equal numbers read only the baseline, to see that it exists; a
-        # walk reads nothing numbered at or below the commit it looks for.
-        assert reads == {(fig.c, fig.e): 1, (fig.e, fig.c): 1, (fig.d, fig.e): 1,
-                         (fig.e, fig.d): 2, (fig.f, fig.c): 2, (fig.c, fig.b): 1}
+        # Equal numbers read nothing; a walk reads nothing numbered at
+        # or below the commit it looks for.
+        assert reads == {(fig.c, fig.e): 0, (fig.e, fig.c): 0, (fig.d, fig.e): 1,
+                         (fig.e, fig.d): 1, (fig.f, fig.c): 2, (fig.c, fig.b): 1}
+
+    def test_unnumbered_tip_prunes_the_walk_that_looks_for_a_numbered_one(self, tmp_path):
+        # A 50-commit branch forked at ids[100] that no run has cached,
+        # against ids[150]: the walk down the branch stops at ids[100],
+        # numbered below the target, and only the walk from the target,
+        # which has no number to stop at, reads down to the root.
+        chain = fixtures.linear_chain(200)
+        options = AuthOptions(cache=AuthCache(str(tmp_path / "state")))
+        target = chain.ids[150]
+        report = authenticate_repository(chain.store, chain.intro, target, options)
+        tree = graph.read_commit(chain.store, chain.ids[100]).tree
+        current = chain.ids[100]
+        for i in range(50):
+            current = chain.store.add_commit(tree, [current], message=f"fork {i}\n")
+        assert report.generation(current) is None and report.generation(target) == 150
+        store = fixtures.CountingStore(chain.store)
+        verdict = fast_forward_check(store, current, target, report.ancestors,
+                                     report.generation)
+        assert verdict is FastForwardVerdict.UNRELATED
+        assert store.reads <= 50 + 151
 
     @pytest.mark.parametrize("corruption", ["raise", "lower", "swap", "zero", "max", "shuffle"])
     def test_false_generations_never_accept_a_downgrade(self, tmp_path, corruption):
@@ -513,6 +533,23 @@ class TestProvenance:
         writers[0].join()
         records = {r.name: r for r in read_all(path)}
         assert records == {"guix": self.RECORD, "extra": other}
+
+    def test_failed_replace_leaves_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "provenance")
+        provenance_write(path, self.RECORD)
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            provenance_write(path, make_record(parse_channel_spec(FIG6)[0], "master",
+                                               self.RECORD.commit, timestamp=5))
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert sorted(os.listdir(tmp_path)) == ["provenance", "provenance.lock"]
 
     def test_make_record_uses_spec(self):
         spec = parse_channel_spec(FIG6)[0]

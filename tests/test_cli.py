@@ -109,6 +109,17 @@ class TestAuthenticateCommand:
         assert code == cli.EXIT_USAGE
         assert "CorruptObject" in err and "Traceback" not in err
 
+    def test_symbolic_ref_to_non_utf8_name_is_a_parse_error(self, fig4_disk, state_dir, capsys):
+        with open(os.path.join(fig4_disk.path, "refs", "heads", "bad"), "wb") as fh:
+            fh.write(b"ref: refs/heads/\xff\n")
+        code = cli.main([
+            "authenticate", fig4_disk.intro.commit.hex, fig4_disk.alice.fingerprint.display(),
+            "--repository", fig4_disk.path, "--end", "bad", "--state-dir", state_dir,
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert "CorruptObject" in err and "Traceback" not in err
+
     def test_warm_cache_second_run(self, fig4_disk, state_dir, capsys):
         args = [
             "authenticate", fig4_disk.intro.commit.hex,
@@ -391,6 +402,33 @@ class TestUpdateCommand:
         assert "unrelated" in capsys.readouterr().err
         record = channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan")
         assert record.commit == repo["c"]
+
+    @pytest.mark.parametrize("gen", [1, 5], ids=["below-target", "above-target"])
+    def test_recorded_commit_missing_from_clone_is_refused(
+            self, tmp_path, state_dir, capsys, gen):
+        # The recorded commit is absent from the clone; the cache numbers
+        # it below or above the target c, whose generation is 2.
+        repo = make_update_repo(tmp_path)
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+        missing = ObjectId.from_hex("ab" * 20)
+        os.makedirs(os.path.join(state_dir, "authentication"))
+        with open(os.path.join(state_dir, "provenance"), "w") as fh:
+            fh.write(f"(provenance (version 0) (channel (name 'testchan) "
+                     f"(url \"{repo['primary_url']}\") (branch \"master\") "
+                     f"(commit \"{missing.hex}\") (timestamp 0)))\n")
+        intro = repo["intro"]
+        cache = os.path.join(state_dir, "authentication", AuthCache.key_for(intro))
+        with open(cache, "w") as fh:
+            fh.write(f"introduction {intro.commit.hex} {intro.signer.hex} generations\n")
+            fh.write(f"{missing.hex} {gen:08x}\n")
+        args = ["update", "--repository", repo["path"], "--channels", channels,
+                "--state-dir", state_dir]
+        assert cli.main(args) == 2
+        assert "unrelated" in capsys.readouterr().err
+        record = channel.provenance_read(os.path.join(state_dir, "provenance"), "testchan")
+        assert record.commit == missing
 
     @pytest.mark.parametrize("gens", [
         {"a": 0, "b": 3, "c": 2, "d": 1},  # downgrade and side branch inverted
