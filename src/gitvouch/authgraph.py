@@ -18,8 +18,8 @@ import os
 import threading
 from binascii import hexlify
 from collections.abc import Callable, Iterator, Mapping, Set
-from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from gitvouch import authz
 from gitvouch.errors import VouchError
@@ -82,8 +82,7 @@ class EmptyKeyring(AuthenticationError):
     pass
 
 
-@dataclass(frozen=True)
-class ChannelIntroduction:
+class ChannelIntroduction(NamedTuple):
     """Trust anchor: the first commit where the invariant holds, and the
     fingerprint of the key that signed it."""
 
@@ -91,16 +90,14 @@ class ChannelIntroduction:
     signer: Fingerprint
 
 
-@dataclass
-class AuthOptions:
+class AuthOptions(NamedTuple):
     keyring_ref: str = DEFAULT_KEYRING_REF
     historical_authorizations: authz.AuthorizationList | None = None
     cache: "AuthCache | None" = None
     cache_key: str | None = None
 
 
-@dataclass
-class AuthReport:
+class AuthReport(NamedTuple):
     """What a successful run did. ``ancestors`` holds the target and
     every id the walk proved, by parent edges in hashed commits, to be
     an ancestor of it: the walked commits and the stop ids they name as
@@ -109,7 +106,7 @@ class AuthReport:
     ``generation`` gives the generation number of the introduction (0),
     of an id the cache records, or of a commit this run recorded, and
     None for any other id. Only a run with a cache records commits.
-    ``helper_verified`` counts the Ed25519 checks the worker thread of
+    ``worker_verified`` counts the Ed25519 checks the worker thread of
     :func:`authenticate_repository` ran."""
 
     target: ObjectId
@@ -118,8 +115,8 @@ class AuthReport:
     walked: int
     policies_parsed: int
     ancestors: frozenset[ObjectId]
-    signers: dict[ObjectId, Fingerprint] = field(default_factory=dict)
-    helper_verified: int = 0
+    signers: dict[ObjectId, Fingerprint]
+    worker_verified: int = 0
     generation: Callable[[ObjectId], int | None] = lambda oid: None
 
 
@@ -681,12 +678,12 @@ def authenticate_repository(
         check_all(defer)
     except VouchError as exc:
         error = exc
-    helper_verified = _check_deferred(deferred)
-    if helper_verified is None:
+    worker_verified = _check_deferred(deferred)
+    if worker_verified is None:
         signers.clear()
         recorded.clear()
         check_all(None)
-        helper_verified = 0
+        worker_verified = 0
     elif error is not None:
         raise error
 
@@ -701,6 +698,6 @@ def authenticate_repository(
         policies_parsed=reader.policies_parsed,
         ancestors=ancestors,
         signers=signers,
-        helper_verified=helper_verified,
+        worker_verified=worker_verified,
         generation=generation,
     )

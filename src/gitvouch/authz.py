@@ -8,7 +8,7 @@ extensions, and an old reader must not choke on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gitvouch.errors import VouchError
 from gitvouch.sexp import Atom, SexpSyntaxError, parse_sexp
@@ -26,14 +26,12 @@ class BadFingerprint(VouchError):
     pass
 
 
-@dataclass(frozen=True)
-class AuthorizationEntry:
+class AuthorizationEntry(NamedTuple):
     fingerprint: Fingerprint
     name: str | None = None
 
 
-@dataclass(frozen=True)
-class AuthorizationList:
+class AuthorizationList(NamedTuple):
     version: int
     entries: tuple[AuthorizationEntry, ...]
 

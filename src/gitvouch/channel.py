@@ -14,7 +14,7 @@ import fcntl
 import os
 import time
 from collections.abc import Callable, Collection
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gitvouch.authgraph import ChannelIntroduction
 from gitvouch.authz import BadVersion
@@ -32,22 +32,19 @@ class MissingIntroduction(VouchError):
     pass
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(NamedTuple):
     name: str
     url: str
     introduction: ChannelIntroduction
 
 
-@dataclass(frozen=True)
-class ChannelMetadata:
+class ChannelMetadata(NamedTuple):
     version: int = 0
     primary_url: str | None = None
     keyring_ref: str | None = None
 
 
-@dataclass(frozen=True)
-class ProvenanceRecord:
+class ProvenanceRecord(NamedTuple):
     name: str
     url: str
     branch: str

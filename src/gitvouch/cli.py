@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 authentication failure, 2 refused
-downgrade/unrelated update, 3 usage, I/O, or parse errors. Warnings
-never change the exit code. Diagnostics go to stderr; ``describe``
-output goes to stdout.
+downgrade/unrelated update, 3 usage, I/O, or parse errors, 4 internal
+error (a bug; the traceback goes to stderr). Warnings never change the
+exit code. Diagnostics go to stderr; ``describe`` output goes to
+stdout.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import logging
 import os
 import sys
+import traceback
 
 from gitvouch import authz, channel
 from gitvouch.authgraph import (
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_AUTH_FAILURE = 1
 EXIT_UPDATE_REFUSED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 log = logging.getLogger("gitvouch")
 
@@ -87,7 +90,7 @@ def _authenticate(
         print(f"stats: commits walked: {report.walked}", file=sys.stderr)
         print(f"stats: cache hits: {report.cache_skipped}", file=sys.stderr)
         print(f"stats: policy files parsed: {report.policies_parsed}", file=sys.stderr)
-        print(f"stats: signatures verified by helper: {report.helper_verified}",
+        print(f"stats: signatures verified by worker thread: {report.worker_verified}",
               file=sys.stderr)
         print(f"stats: ed25519 engine: {ed25519.engine().name}", file=sys.stderr)
     return report
@@ -298,6 +301,12 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, VouchError) as exc:
         print(f"gitvouch: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # A bug, not a verdict: Python's own exit status for it, 1,
+        # would read as an authentication failure.
+        print(f"gitvouch: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

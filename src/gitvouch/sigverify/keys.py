@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gitvouch.errors import VouchError
 from gitvouch.sigverify.armor import PUBLIC_KEY_BLOCK, dearmor_all
@@ -38,8 +38,7 @@ class NoKeyFound(VouchError):
 ALGORITHM_NAMES = {ALGO_RSA: "rsa", ALGO_RSA_SIGN_ONLY: "rsa", ALGO_EDDSA: "ed25519"}
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(NamedTuple):
     version: int
     algorithm: str
     creation_time: int

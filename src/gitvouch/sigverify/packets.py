@@ -6,7 +6,6 @@ types are preserved as opaque blobs and skipped by higher layers.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -44,14 +43,20 @@ class Unsupported(VouchError):
     pass
 
 
+def _repr_but_last(record: tuple) -> str:
+    """The repr of a packet record without its last field, packet bytes
+    that the other fields already describe."""
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields[:-1], record))
+    return f"{type(record).__name__}({shown})"
+
+
 class Subpacket(NamedTuple):
     type: int
     critical: bool
     data: bytes
 
 
-@dataclass(frozen=True)
-class KeyPacket:
+class KeyPacket(NamedTuple):
     """Tag 6 or 14. ``material`` depends on the algorithm:
     RSA -> (n, e) ints, EdDSA/Ed25519 -> 32 raw point bytes,
     anything else -> None (loadable, not verifiable)."""
@@ -61,7 +66,9 @@ class KeyPacket:
     creation_time: int
     algorithm: int
     material: object
-    body: bytes = field(repr=False)
+    body: bytes
+
+    __repr__ = _repr_but_last
 
     @property
     def is_subkey(self) -> bool:
@@ -87,15 +94,7 @@ class SignaturePacket(NamedTuple):
     material: object
     hashed_portion: bytes
 
-    def __repr__(self) -> str:
-        return (
-            f"SignaturePacket(version={self.version!r}, sig_type={self.sig_type!r}, "
-            f"pubkey_algorithm={self.pubkey_algorithm!r}, "
-            f"hash_algorithm={self.hash_algorithm!r}, "
-            f"hashed_subpackets={self.hashed_subpackets!r}, "
-            f"unhashed_subpackets={self.unhashed_subpackets!r}, "
-            f"left16={self.left16!r}, material={self.material!r})"
-        )
+    __repr__ = _repr_but_last
 
     def _subpacket(self, type_: int, *, hashed_only: bool = False) -> bytes | None:
         for sp in self.hashed_subpackets:
@@ -131,15 +130,15 @@ class SignaturePacket(NamedTuple):
         return self.hashed_portion + b"\x04\xff" + n.to_bytes(4, "big")
 
 
-@dataclass(frozen=True)
-class UserIdPacket:
+class UserIdPacket(NamedTuple):
     value: bytes
 
 
-@dataclass(frozen=True)
-class UnknownPacket:
+class UnknownPacket(NamedTuple):
     tag: int
-    body: bytes = field(repr=False)
+    body: bytes
+
+    __repr__ = _repr_but_last
 
 
 Packet = KeyPacket | SignaturePacket | UserIdPacket | UnknownPacket

@@ -91,8 +91,8 @@ class TestAuthenticateCommand:
         assert "stats: cache hits: 0" in err
         # One policy file at the root, one shared by every later commit.
         assert "stats: policy files parsed: 2" in err
-        # Five checks are too few to start a helper thread for.
-        assert "stats: signatures verified by helper: 0" in err
+        # Five checks are too few to start a worker thread for.
+        assert "stats: signatures verified by worker thread: 0" in err
         assert f"stats: ed25519 engine: {ed25519.engine().name}" in err
 
     def test_malformed_tag_is_a_parse_error_not_a_traceback(self, tmp_path, state_dir, capsys):
@@ -340,8 +340,8 @@ class TestUpdateCommand:
                          "--state-dir", state_dir, "--stats"]) == 0
         err = capsys.readouterr().err
         assert "stats: commits checked: 2" in err
-        (line,) = [x for x in err.splitlines() if "verified by helper" in x]
-        count = int(line.removeprefix("stats: signatures verified by helper: "))
+        (line,) = [x for x in err.splitlines() if "verified by worker thread" in x]
+        count = int(line.removeprefix("stats: signatures verified by worker thread: "))
         assert 0 <= count <= 2 if helper else count == 0
 
     def test_downgrade_refused_exit_two(self, tmp_path, state_dir, capsys):
@@ -660,6 +660,42 @@ class TestUpdateCommand:
             "update", "--repository", repo["path"], "--channels", str(bad),
             "--state-dir", state_dir,
         ]) == 3
+
+    def test_internal_error_exits_four_with_traceback(
+        self, tmp_path, state_dir, capsys, monkeypatch
+    ):
+        # Python's own exit status for an uncaught exception, 1, would
+        # read as an authentication failure.
+        repo = make_update_repo(tmp_path)
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulated bug")
+
+        monkeypatch.setattr(channel, "provenance_write", broken)
+        assert cli.main(["update", "--repository", repo["path"], "--channels", channels,
+                         "--state-dir", state_dir]) == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert "gitvouch: internal error: RuntimeError: simulated bug\n" in err
+        assert "Traceback (most recent call last):" in err
+        assert 'raise RuntimeError("simulated bug")' in err
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, tmp_path, state_dir, monkeypatch, exc):
+        repo = make_update_repo(tmp_path)
+        channels = write_channels(
+            tmp_path / "channels.scm", "testchan", repo["primary_url"], repo["intro"]
+        )
+
+        def interrupted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(channel, "provenance_write", interrupted)
+        with pytest.raises(exc):
+            cli.main(["update", "--repository", repo["path"], "--channels", channels,
+                      "--state-dir", state_dir])
 
 
 class TestDescribeCommand:

@@ -5,7 +5,6 @@ checked-in fixture files (gpg --list-packets / --dearmor / --list-keys)
 and frozen here.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -690,9 +689,7 @@ class TestSubkeySignature:
         sub = fixtures.key("carol-sub")
         keys = load_keys(export_public(primary)) + load_keys(export_public(sub))
         # rebind: pretend sub is a subkey of primary
-        from dataclasses import replace
-
-        rebound = replace(keys[1], primary_fingerprint=primary.fingerprint)
+        rebound = keys[1]._replace(primary_fingerprint=primary.fingerprint)
         ring = Keyring([keys[0], rebound])
         sig = first_signature(sign_for_tests(b"payload\n", sub))
         result = verify_detailed(sig, b"payload\n", ring)
@@ -929,7 +926,7 @@ class TestStrictRule:
 
     def check(self, public, sig, material, raw):
         """Verify the 64-byte signature ``raw`` with key ``material``."""
-        key = dataclasses.replace(public, material=material)
+        key = public._replace(material=material)
         forged = sig._replace(
             material=(int.from_bytes(raw[:32], "big"), int.from_bytes(raw[32:], "big")))
         return verify_detailed(forged, self.PAYLOAD, Keyring([key]))
@@ -951,7 +948,7 @@ class TestStrictRule:
 
     def test_rule_applies_before_ed25519_verify(self):
         public, sig = self.signed()
-        ring = Keyring([dataclasses.replace(public, material=IDENTITY)])
+        ring = Keyring([public._replace(material=IDENTITY)])
         forged = sig._replace(material=(int.from_bytes(IDENTITY, "big"), 0))
         seen = []
 

@@ -1,12 +1,11 @@
-"""Deferred Ed25519 checks, run on the caller's thread and one helper
+"""Deferred Ed25519 checks, run on the caller's thread and one worker
 thread.
 
 A run must reach the same verdict, name the same offending commit and
 record the same signers as a run that makes every check inline, whatever
-the helper thread does, and must leave no thread behind.
+the worker thread does, and must leave no thread behind.
 """
 
-import dataclasses
 import random
 import sys
 import threading
@@ -30,13 +29,13 @@ IDENTITY = (1).to_bytes(32, "little")
 
 
 def outcome(store, intro, target, options=None):
-    """(error class name, offending commit, signers, helper count) of one
+    """(error class name, offending commit, signers, worker count) of one
     run."""
     try:
         report = authenticate_repository(store, intro, target, options)
     except VouchError as exc:
         return type(exc).__name__, exc.commit_id, None, None
-    return None, None, report.signers, report.helper_verified
+    return None, None, report.signers, report.worker_verified
 
 
 def inline_outcome(monkeypatch, *args):
@@ -113,7 +112,7 @@ class TestHelperReport:
         chain = fixtures.linear_chain(300)
         monkeypatch.setattr(authgraph, "WORKER_MIN_CHECKS", 10**9)
         report = authenticate_repository(chain.store, chain.intro, chain.ids[-1])
-        assert report.helper_verified == 0
+        assert report.worker_verified == 0
         assert report.checked == 299
         assert started == []
 
@@ -152,7 +151,7 @@ class TestHelperReport:
         engine_by_thread(monkeypatch, caller=slow_second)
         report = authenticate_repository(chain.store, chain.intro, chain.ids[-1])
         assert report.checked == 199
-        assert report.helper_verified == 198 and len(calls) == 2
+        assert report.worker_verified == 198 and len(calls) == 2
 
 
 def test_each_deferred_check_runs_once(monkeypatch):
@@ -246,7 +245,7 @@ class TestHelperVerdicts:
             ids.append(store.add_commit(tree, ids[-1:], message=f"commit {i}\n",
                                         sign_with=fixtures.signer(signer)))
         ring = Keyring(load_keys(export_public(alice)) + [
-            dataclasses.replace(load_keys(export_public(bob))[0], material=IDENTITY)])
+            load_keys(export_public(bob))[0]._replace(material=IDENTITY)])
         monkeypatch.setattr(authgraph, "load_keyring", lambda store, ref: ring)
         real = authgraph._check_deferred
         handed = []
